@@ -407,97 +407,6 @@ fn bench_sharded(c: &mut Criterion) {
     g.finish();
 }
 
-/// One SOR run under an arbitrary scheduler *and* cost model — the
-/// zero-lookahead comparison needs [`CostModel::unit`].
-fn run_sor_cost(p: u32, sched: SchedImpl, cost: CostModel) -> Runtime {
-    let ids = sor::build();
-    let mut rt = hem_apps::make_runtime(
-        ids.program.clone(),
-        p,
-        cost,
-        ExecMode::Hybrid,
-        InterfaceSet::Full,
-    );
-    rt.sched_impl = sched;
-    let inst = sor::setup(
-        &mut rt,
-        &ids,
-        sor::SorParams {
-            n: 64,
-            block: 4,
-            procs: ProcGrid::square(p),
-        },
-    );
-    sor::run(&mut rt, &inst, 1).unwrap();
-    rt
-}
-
-/// Optimistic (Time-Warp) executor: like [`bench_sharded`], the
-/// speculative executor must be *semantically* free — at P = 256 the
-/// trace and makespan are bit-identical to the event index at every
-/// thread count (guarded loudly before the benchmark) — and its host
-/// wall-clock ratio against `threads1` (the event-index fallback) is the
-/// payoff net of checkpointing and rollbacks. The second group runs the
-/// zero-lookahead regime ([`CostModel::unit`]): there the conservative
-/// window executor degenerates to one event per window while the
-/// optimistic one still forms multi-event windows, which is the regime
-/// speculation exists for (see DESIGN.md §5.17 and EXPERIMENTS.md).
-fn bench_speculative(c: &mut Criterion) {
-    let (trace_one, mk_one) = run_sor_traced_sched(256, SchedImpl::EventIndex);
-    for threads in [2usize, 4] {
-        let (trace_n, mk_n) = run_sor_traced_sched(256, SchedImpl::Speculative { threads });
-        assert_eq!(
-            mk_one, mk_n,
-            "speculative ({threads} threads) changed the makespan at P=256"
-        );
-        assert!(
-            trace_one == trace_n,
-            "speculative ({threads} threads) changed the trace contents at P=256"
-        );
-    }
-
-    let mut g = c.benchmark_group("speculative/sor64");
-    g.sample_size(10);
-    for p in [64u32, 256] {
-        for threads in [1usize, 2, 4] {
-            let sched = SchedImpl::Speculative { threads };
-            let events = run_sor(p, sched).stats().sched.events_dispatched;
-            g.throughput(Throughput::Elements(events));
-            g.bench_with_input(
-                BenchmarkId::new(format!("threads{threads}"), format!("P{p}")),
-                &(p, sched),
-                |b, &(p, sched)| b.iter(|| run_sor(p, sched).makespan()),
-            );
-        }
-    }
-    g.finish();
-
-    // Zero lookahead: conservative windows hold one event each, so the
-    // sharded executor serializes (plus barrier overhead); the optimistic
-    // executor is the only parallel option. Same run, bit-identical
-    // results — the interesting number is the host-time ordering.
-    let mut g = c.benchmark_group("speculative_zero_lookahead/sor64");
-    g.sample_size(10);
-    let p = 64u32;
-    for (label, sched) in [
-        ("event-index", SchedImpl::EventIndex),
-        ("sharded4", SchedImpl::Sharded { threads: 4 }),
-        ("speculative4", SchedImpl::Speculative { threads: 4 }),
-    ] {
-        let events = run_sor_cost(p, sched, CostModel::unit())
-            .stats()
-            .sched
-            .events_dispatched;
-        g.throughput(Throughput::Elements(events));
-        g.bench_with_input(
-            BenchmarkId::new(label, format!("P{p}")),
-            &sched,
-            |b, &sched| b.iter(|| run_sor_cost(p, sched, CostModel::unit()).makespan()),
-        );
-    }
-    g.finish();
-}
-
 /// Persistent-pool serve mode: the open-system driver calls `run_until`
 /// once per arrival chunk, so this is the workload the coordinator-free
 /// pool exists for. Guards (loud, before the benchmark): the steady
@@ -560,7 +469,6 @@ criterion_group!(
     bench_em3d_sched,
     bench_sharded,
     bench_pool_chunks,
-    bench_speculative,
     bench_ack_protocol,
     bench_sanitizer,
     bench_observer

@@ -63,13 +63,16 @@
 //!                     cuts shard boundaries by cumulative busy time —
 //!                     host-time load balance only, observables stay
 //!                     bit-identical (kernel subcommands only)
-//!   --speculative     optimistic (Time-Warp) executor for --threads > 1
 //!   --ring N          bound the trace ring to N records
 //!   --report F        table|json (default table)
 //!   --perfetto FILE   write a Perfetto trace_event JSON timeline
 //!   --critical-path   print the longest virtual-time path
 //!   --events          dump the raw event log (small runs only)
 //! ```
+//!
+//! Each subcommand rejects flags outside its own set (exit 2, naming the
+//! flag), so a misspelled or retired flag never silently runs a
+//! different configuration.
 //!
 //! The rollup report streams through the observer hook, so it is exact
 //! even when `--ring` truncates the buffered trace; only `--events`,
@@ -98,7 +101,7 @@ fn usage() -> ! {
     eprintln!("               [--drop P] [--dup P] [--jitter J] [--fault-seed S]");
     eprintln!("       hemprof blame [serve options]  (per-request blame decomposition)");
     eprintln!("       common: [--mode hybrid|parallel] [--cost cm5|t3d|unit] [--threads N]");
-    eprintln!("               [--shard-map even|profile] [--speculative] [--ring N]");
+    eprintln!("               [--shard-map even|profile] [--ring N]");
     eprintln!("               [--report table|json] [--perfetto FILE] [--critical-path]");
     eprintln!("               [--events]");
     std::process::exit(2);
@@ -117,10 +120,65 @@ fn parse_cost(args: &Args) -> CostModel {
         None | Some("cm5") => CostModel::cm5(),
         Some("t3d") => CostModel::t3d(),
         // Every charge 1 cycle: the zero-lookahead regime, where the
-        // conservative sharded executor serializes and only the
-        // speculative one can form multi-event windows.
+        // sharded executor falls back to the serial event index.
         Some("unit") => CostModel::unit(),
         Some(_) => usage(),
+    }
+}
+
+/// The flags `sub` accepts, as (flags taking a value, bare flags).
+fn accepted_flags(sub: &str) -> (Vec<&'static str>, Vec<&'static str>) {
+    const COMMON_VALUED: [&str; 6] = [
+        "--mode",
+        "--cost",
+        "--threads",
+        "--ring",
+        "--report",
+        "--perfetto",
+    ];
+    const COMMON_BARE: [&str; 2] = ["--critical-path", "--events"];
+    match sub {
+        "diff" => (Vec::new(), Vec::new()),
+        "serve" | "blame" => (
+            [
+                &COMMON_VALUED[..],
+                &[
+                    "--p",
+                    "--backends",
+                    "--until",
+                    "--warmup",
+                    "--rate",
+                    "--arrival",
+                    "--clients",
+                    "--deadline",
+                    "--max-queue",
+                    "--seed",
+                    "--series-window",
+                    "--drop",
+                    "--dup",
+                    "--jitter",
+                    "--fault-seed",
+                ],
+            ]
+            .concat(),
+            [&COMMON_BARE[..], &["--series"]].concat(),
+        ),
+        _ => (
+            [
+                &COMMON_VALUED[..],
+                &[
+                    "--p",
+                    "--size",
+                    "--iters",
+                    "--seed",
+                    "--layout",
+                    "--style",
+                    "--shard-map",
+                ],
+            ]
+            .concat(),
+            COMMON_BARE.to_vec(),
+        ),
     }
 }
 
@@ -130,6 +188,11 @@ fn main() {
         Some(name) if !name.starts_with('-') => name,
         _ => usage(),
     };
+    let (valued, bare) = accepted_flags(&sub);
+    if let Some(flag) = args.unknown_flag(2, &valued, &bare) {
+        eprintln!("hemprof: unknown flag '{flag}' for '{sub}'");
+        std::process::exit(2);
+    }
 
     // Validate the perfetto destination before the (potentially long) run,
     // so a typo'd path fails in milliseconds, not minutes.
@@ -199,11 +262,10 @@ fn main() {
     if let Some(t) = args.get("--threads") {
         cfg.threads = t;
     }
-    cfg.speculative = args.has("--speculative");
     match args.get::<String>("--shard-map").as_deref() {
         None | Some("even") => {}
         Some("profile") => {
-            if cfg.threads > 1 && !cfg.speculative {
+            if cfg.threads > 1 {
                 cfg.shard_weights = Some(pilot_weights(&cfg));
             }
         }
@@ -213,12 +275,8 @@ fn main() {
     // The rollup observes the stream online — reports stay exact even
     // when a bounded ring evicts records.
     let mut rt = cfg.run_with_observer(Box::new(Rollup::new()));
-    let spec = spec_summary(&rt, cfg.speculative, cfg.threads);
-    let mut report = report_from(&mut rt, &cfg.title());
-    if let Some(s) = &spec {
-        report = report.with_speculative(s.clone());
-    }
-    emit(&args, report, &mut rt, perfetto_path, None, spec, None);
+    let report = report_from(&mut rt, &cfg.title());
+    emit(&args, report, &mut rt, perfetto_path, None, None);
 }
 
 /// `hemprof diff A.json B.json` — compare two rollup JSON reports
@@ -512,7 +570,6 @@ fn run_serve(args: &Args, perfetto_path: Option<String>, blame: bool) {
     if let Some(t) = args.get("--threads") {
         cfg.threads = t;
     }
-    cfg.speculative = args.has("--speculative");
     if cfg.warmup >= cfg.horizon {
         eprintln!("hemprof: --warmup must be below --until");
         std::process::exit(2);
@@ -552,7 +609,6 @@ fn run_serve(args: &Args, perfetto_path: Option<String>, blame: bool) {
     }
     let (mut rt, out) = cfg.run_with_observer(Box::new(fan));
 
-    let spec = spec_summary(&rt, cfg.speculative, cfg.threads);
     let any: Box<dyn std::any::Any> = rt.take_observer().expect("fanout attached");
     let fan = any.downcast::<Fanout>().expect("a Fanout");
     let mut rollup = None;
@@ -590,16 +646,12 @@ fn run_serve(args: &Args, perfetto_path: Option<String>, blame: bool) {
     if let Some(s) = &series_summary {
         report = report.with_series(s.clone());
     }
-    if let Some(s) = &spec {
-        report = report.with_speculative(s.clone());
-    }
     emit(
         args,
         report,
         &mut rt,
         perfetto_path,
         Some(cfg.horizon),
-        spec,
         series_summary,
     );
 }
@@ -611,7 +663,6 @@ fn run_serve(args: &Args, perfetto_path: Option<String>, blame: bool) {
 fn pilot_weights(cfg: &ProfileConfig) -> Vec<u64> {
     let mut pilot = cfg.clone();
     pilot.threads = 1;
-    pilot.speculative = false;
     pilot.ring = Some(64);
     let mut rt = pilot.run_with_observer(Box::new(Rollup::new()));
     let any: Box<dyn std::any::Any> = rt.take_observer().expect("pilot rollup attached");
@@ -623,25 +674,6 @@ fn pilot_weights(cfg: &ProfileConfig) -> Vec<u64> {
         w.len()
     );
     w
-}
-
-/// Host-side speculation diagnostics for the report and the Perfetto
-/// counter track. `None` when the run wasn't speculative (the simulated
-/// stats are executor-invariant, so there is nothing to add).
-fn spec_summary(rt: &Runtime, speculative: bool, threads: usize) -> Option<hem_obs::SpecSummary> {
-    if !speculative || threads <= 1 {
-        return None;
-    }
-    let s = rt.spec_stats();
-    Some(hem_obs::SpecSummary {
-        threads,
-        windows: s.windows,
-        serial_steps: s.serial_steps,
-        rollbacks: s.rollbacks,
-        anti_messages: s.anti_messages,
-        ckpt_nodes: s.ckpt_nodes,
-        max_window: s.max_window,
-    })
 }
 
 /// Build the report from the *streamed* rollup (exact under ring
@@ -663,7 +695,6 @@ fn emit(
     rt: &mut Runtime,
     perfetto_path: Option<String>,
     horizon: Option<Cycles>,
-    spec: Option<hem_obs::SpecSummary>,
     series: Option<hem_obs::SeriesSummary>,
 ) {
     let stats = rt.stats();
@@ -708,8 +739,7 @@ fn emit(
     let tl = Timeline::build(&records, stats.per_node.len());
 
     if let Some(path) = perfetto_path {
-        let json =
-            perfetto::to_json_full(&records, &tl, rt.program(), spec.as_ref(), series.as_ref());
+        let json = perfetto::to_json_full(&records, &tl, rt.program(), series.as_ref());
         std::fs::write(&path, &json).unwrap_or_else(|e| {
             eprintln!("hemprof: cannot write {path}: {e}");
             std::process::exit(1);

@@ -26,11 +26,10 @@ use hem_core::{ExecMode, Runtime, SchedImpl};
 use hem_machine::cost::CostModel;
 use hem_machine::topology::ProcGrid;
 
-const SCHEDS: [(&str, SchedImpl); 4] = [
+const SCHEDS: [(&str, SchedImpl); 3] = [
     ("event-index", SchedImpl::EventIndex),
     ("linear-scan", SchedImpl::LinearScan),
     ("sharded-2", SchedImpl::Sharded { threads: 2 }),
-    ("speculative-2", SchedImpl::Speculative { threads: 2 }),
 ];
 
 /// One SOR run (64x64 grid, 4x4 blocks) on `p` nodes.

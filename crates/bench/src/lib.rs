@@ -66,6 +66,21 @@ impl Args {
             .and_then(|i| self.argv.get(i + 1))
             .and_then(|v| v.parse().ok())
     }
+
+    /// The first `--flag` after the first `skip` arguments that is in
+    /// neither `valued` (flags taking a value, which is skipped over) nor
+    /// `bare`.
+    pub fn unknown_flag(&self, skip: usize, valued: &[&str], bare: &[&str]) -> Option<&str> {
+        let mut it = self.argv.iter().skip(skip).map(String::as_str);
+        while let Some(a) = it.next() {
+            if valued.contains(&a) {
+                it.next();
+            } else if a.starts_with("--") && !bare.contains(&a) {
+                return Some(a);
+            }
+        }
+        None
+    }
 }
 
 impl Default for Args {

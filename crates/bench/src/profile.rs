@@ -91,12 +91,6 @@ pub struct ProfileConfig {
     /// runs the single-threaded event index. Every thread count yields a
     /// bit-identical trace and report.
     pub threads: usize,
-    /// Use the optimistic (Time-Warp) executor instead of the
-    /// conservative sharded one when `threads > 1` — checkpoints,
-    /// speculative windows past the lookahead bound, rollback on
-    /// stragglers. Still bit-identical; the speculation diagnostics land
-    /// in the report's speculative section.
-    pub speculative: bool,
     /// Per-node busy-time weights steering the sharded executor's
     /// contiguous partition (`Runtime::set_shard_weights`); `None` keeps
     /// the equal-slice map. Host-time tuning only — every weighting
@@ -120,7 +114,6 @@ impl ProfileConfig {
             cost: CostModel::cm5(),
             ring: None,
             threads: 1,
-            speculative: false,
             shard_weights: None,
         }
     }
@@ -238,14 +231,8 @@ impl ProfileConfig {
             rt.set_shard_weights(self.shard_weights.clone());
         }
         if self.threads > 1 {
-            rt.sched_impl = if self.speculative {
-                hem_core::SchedImpl::Speculative {
-                    threads: self.threads,
-                }
-            } else {
-                hem_core::SchedImpl::Sharded {
-                    threads: self.threads,
-                }
+            rt.sched_impl = hem_core::SchedImpl::Sharded {
+                threads: self.threads,
             };
         }
         match self.ring {

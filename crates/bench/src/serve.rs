@@ -44,9 +44,6 @@ pub struct ServeConfig {
     /// Host worker threads (sharded executor above 1); every thread count
     /// yields a bit-identical trace and summary.
     pub threads: usize,
-    /// Use the optimistic (Time-Warp) executor instead of the
-    /// conservative sharded one when `threads > 1`; still bit-identical.
-    pub speculative: bool,
     /// Bound the trace to a ring of this many records (`None`:
     /// unbounded). The rollup-backed report does not depend on ring
     /// completeness — it streams through the observer hook.
@@ -75,7 +72,6 @@ impl ServeConfig {
             mode: ExecMode::Hybrid,
             cost: CostModel::cm5(),
             threads: 1,
-            speculative: false,
             ring: None,
             fault: None,
         }
@@ -119,14 +115,8 @@ impl ServeConfig {
             InterfaceSet::Full,
         );
         if self.threads > 1 {
-            rt.sched_impl = if self.speculative {
-                hem_core::SchedImpl::Speculative {
-                    threads: self.threads,
-                }
-            } else {
-                hem_core::SchedImpl::Sharded {
-                    threads: self.threads,
-                }
+            rt.sched_impl = hem_core::SchedImpl::Sharded {
+                threads: self.threads,
             };
         }
         match self.ring {

@@ -3,7 +3,7 @@
 //!
 //! * 0 — reports compared (even when the numbers differ);
 //! * 1 — an input is unreadable or not a rollup JSON;
-//! * 2 — usage error (missing operands, unknown flags values);
+//! * 2 — usage error (missing operands, unknown flags or flag values);
 //! * 3 — the reports profile different kernels or machine sizes.
 //!
 //! CI keys on 3 vs 1: a mismatch means "this delta is meaningless",
@@ -84,6 +84,33 @@ fn diff_exit_codes_distinguish_mismatch_from_breakage() {
 fn unknown_kernel_is_a_usage_error() {
     let out = hemprof(&["nosuchkernel"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    // A retired or misspelled flag must not silently run another
+    // configuration: each subcommand names the flag it rejects.
+    for (args, flag) in [
+        (
+            &["sor", "--p", "4", "--threads", "2", "--speculative"][..],
+            "--speculative",
+        ),
+        (
+            &["serve", "--p", "4", "--shard-map", "even"][..],
+            "--shard-map",
+        ),
+        (
+            &["diff", "a.json", "b.json", "--report", "json"][..],
+            "--report",
+        ),
+    ] {
+        let out = hemprof(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(&format!("unknown flag '{flag}'")),
+            "{args:?}: stderr names {flag}"
+        );
+    }
 }
 
 #[test]

@@ -124,15 +124,11 @@ pub struct Context {
     pub cont_consumed: bool,
     /// Blame tag (originating external request id + 1; 0 = untagged) of
     /// the step that created this context; dispatching the context later
-    /// re-establishes the tag. Rides the node-checkpoint `Clone` so
-    /// Time-Warp rollback rewinds it with the rest of the table.
+    /// re-establishes the tag.
     pub req: u64,
 }
 
-/// Per-node context table: slab with free list and generations. `Clone`
-/// (used by the speculative executor's node checkpoints) captures the
-/// slab, free list, and generation counters exactly, so a restored table
-/// re-allocates the same indices and generations on re-execution.
+/// Per-node context table: slab with free list and generations.
 #[derive(Debug, Default, Clone)]
 pub struct CtxTable {
     entries: Vec<Context>,

@@ -182,15 +182,6 @@ pub enum Mutant {
     /// chains keep recursing on the host stack past `max_seq_depth`
     /// instead of diverting through a heap context.
     SkipDepthGuard,
-    /// Keep a node's speculatively advanced wire-sequence counter across a
-    /// Time-Warp rollback instead of restoring the checkpointed value
-    /// (rollback bookkeeping bug, see `crate::timewarp`). Re-sent
-    /// messages then carry fresh sequence numbers, so fault fates and
-    /// same-cycle delivery tie-breaks are re-drawn differently from the
-    /// cancelled attempt — invisible under every non-speculative
-    /// scheduler (no rollbacks happen), caught only by diffing the
-    /// speculative path against `SchedImpl::EventIndex`.
-    SkipWireSeqRestore,
     /// Price every modeled-collective down leg at one wire hop instead of
     /// its fan-out-tree depth (see `Runtime::issue_collective`). A pure,
     /// uniform timing change: traces stay internally consistent and every
@@ -203,13 +194,12 @@ pub enum Mutant {
 
 impl Mutant {
     /// Every mutant, for smoke-check loops.
-    pub const ALL: [Mutant; 7] = [
+    pub const ALL: [Mutant; 6] = [
         Mutant::EagerWake,
         Mutant::DoubleRootReply,
         Mutant::ShellSlotZero,
         Mutant::DropJoinDecrement,
         Mutant::SkipDepthGuard,
-        Mutant::SkipWireSeqRestore,
         Mutant::CollectiveSkipsHopCost,
     ];
 
@@ -221,7 +211,6 @@ impl Mutant {
             Mutant::ShellSlotZero => "shell-slot-zero",
             Mutant::DropJoinDecrement => "drop-join-decrement",
             Mutant::SkipDepthGuard => "skip-depth-guard",
-            Mutant::SkipWireSeqRestore => "skip-wire-seq-restore",
             Mutant::CollectiveSkipsHopCost => "collective-skips-hop-cost",
         }
     }

@@ -81,7 +81,6 @@ pub mod rt;
 pub mod sanitize;
 pub mod seq;
 pub mod shard;
-pub mod timewarp;
 pub mod trace;
 pub mod wrapper;
 
@@ -93,7 +92,6 @@ pub use msg::CollKind;
 pub use object::Object;
 pub use rt::{NodeObjectState, Runtime, SchedImpl};
 pub use sanitize::Sanitizer;
-pub use timewarp::SpecStats;
 pub use trace::{MsgCause, Observer, Trace, TraceEvent, TraceRecord};
 
 pub use hem_analysis::{InterfaceSet, Schema, SchemaMap};

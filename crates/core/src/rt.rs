@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// A packet sitting in a node's inbox awaiting its delivery time.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct InboxEntry {
     pub deliver: Cycles,
     pub seq: u64,
@@ -87,26 +87,11 @@ pub enum SchedImpl {
         /// which admits no lookahead).
         threads: usize,
     },
-    /// Host-parallel optimistic (Time-Warp) executor: like
-    /// [`SchedImpl::Sharded`], but windows extend *past* the conservative
-    /// lookahead bound. Shards checkpoint dirty nodes copy-on-write,
-    /// advance speculatively, and the coordinator validates every
-    /// cross-shard message at the window barrier: a message due inside
-    /// the window (a *straggler*) rolls all shards back to the window
-    /// edge, cancels speculatively sent traffic (anti-messages), and
-    /// re-runs a shrunken window (see [`crate::timewarp`]). Observables
-    /// are bit-identical to [`SchedImpl::EventIndex`] at every thread
-    /// count — including under zero-lookahead cost models, where
-    /// [`SchedImpl::Sharded`] degrades to serial stepping.
-    ///
-    /// The heap-diagnostic fields of `MachineStats.sched` report 0, as
-    /// under [`SchedImpl::Sharded`]; speculation diagnostics (rollback
-    /// and anti-message counts) live in [`crate::timewarp::SpecStats`],
-    /// off to the side, because they *are* thread-count-dependent.
+    /// Retained alias of [`SchedImpl::Sharded`]: runs the conservative
+    /// sharded engine with the same thread count. Kept so existing
+    /// callers that name it keep building.
     Speculative {
-        /// Worker thread count; `0` and `1` both mean "run the plain
-        /// event index". Zero lookahead does **not** fall back — that
-        /// regime is the whole point of speculating.
+        /// Worker thread count, as for [`SchedImpl::Sharded`].
         threads: usize,
     },
 }
@@ -147,7 +132,7 @@ impl Ord for SchedEntry {
 
 /// An unacknowledged data frame retained by its sender for retransmission
 /// (reliable transport only).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Pending {
     /// The payload, re-framed verbatim on every retransmission.
     pub msg: Msg,
@@ -166,12 +151,7 @@ pub(crate) struct Pending {
     pub req: u64,
 }
 
-/// One simulated processor. `Clone` is the speculative executor's
-/// checkpoint primitive: a cloned `Node` captures the complete per-node
-/// state — objects, contexts, inbox, transport maps, and the wire
-/// sequence counter — so restoring it rewinds everything a rolled-back
-/// window could have touched (see [`crate::timewarp`]).
-#[derive(Clone)]
+/// One simulated processor.
 pub(crate) struct Node {
     pub id: NodeId,
     pub time: Cycles,
@@ -210,8 +190,7 @@ pub(crate) struct Node {
     /// is the initiator's root record, member rank r sits at r + 1.
     /// Multiple members of one collective can share a node (and the
     /// initiator can be a member of its own group), hence the position in
-    /// the key. Lives in `Node` so the speculative executor's
-    /// copy-on-dirty checkpoint rewinds it for free.
+    /// the key.
     pub coll: BTreeMap<(u32, u64, u32), CollState>,
     /// Contributions that beat their position's down leg here (jitter and
     /// retransmission reorder legs): stashed in arrival order, drained
@@ -228,7 +207,7 @@ pub(crate) struct Node {
 /// contribution, slots 1 and 2 its left and right tree children's folded
 /// sub-trees; contributions arrive in any order but are always *folded* in
 /// slot order, so reduction results are arrival-order independent.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct CollState {
     /// Which collective this record belongs to.
     pub kind: crate::msg::CollKind,
@@ -329,9 +308,8 @@ pub struct Runtime {
     /// untagged). Step-transient like `current_task`: set when a
     /// dispatched event (or nested poll handling) begins, read when the
     /// step sends messages, defers on locks, or allocates contexts —
-    /// never consulted across steps, so Time-Warp rollback needs no
-    /// checkpointing for it (all durable tag state lives inside `Node`-
-    /// contained structures, which node checkpoints already rewind).
+    /// never consulted across steps (all durable tag state lives inside
+    /// `Node`-contained structures).
     pub(crate) current_req: u64,
     pub(crate) result: Option<Value>,
     pub(crate) active: Option<ActiveCtx>,
@@ -416,12 +394,6 @@ pub struct Runtime {
     /// order is the id order, independent of completion order (and of
     /// which shard worker logged it).
     pub(crate) completions: std::collections::BTreeMap<u64, Cycles>,
-    /// Speculation diagnostics for [`SchedImpl::Speculative`] runs
-    /// (windows, rollbacks, anti-messages, checkpointed nodes); all zero
-    /// under every other scheduler. Deliberately *not* part of
-    /// [`MachineStats`]: the counts depend on the thread count, like the
-    /// heap diagnostics. See [`crate::timewarp::SpecStats`].
-    pub(crate) spec: crate::timewarp::SpecStats,
     /// Optional per-node busy-time weights for the sharded partition (see
     /// [`Self::set_shard_weights`]); `None` partitions into equal
     /// contiguous slices. Host-time tuning only — any contiguous
@@ -506,7 +478,6 @@ impl Runtime {
             shard: None,
             ext_seq: 0,
             completions: std::collections::BTreeMap::new(),
-            spec: crate::timewarp::SpecStats::default(),
             shard_weights: None,
             pool: None,
             pool_gen: 0,
@@ -1007,11 +978,6 @@ impl Runtime {
                     continue;
                 }
             }
-            // Intra-shard delivery mutates a node other than the one being
-            // dispatched: checkpoint it first (cross-node state only ever
-            // changes through messages, so this hook plus the
-            // dispatch-time one cover every mutation a rollback undoes).
-            self.tw_save(d);
             self.nodes[d].inbox.push(entry);
             let at = self.nodes[d].time.max(m.deliver_at);
             self.sched_note(at, 0, d);
@@ -1041,16 +1007,6 @@ impl Runtime {
         }
         let d = dest.0;
         let deadline = self.nodes[from].time + self.retx_base;
-        if let Some(sh) = &mut self.shard {
-            if sh.ckpt.is_some() {
-                // Speculative window: a timer armed mid-window may come
-                // due *before* the window edge (conservative windows
-                // cannot outrun `retx_base`, optimistic ones can), and
-                // workers never fire timers. Record the earliest such
-                // deadline so validation can shrink the window below it.
-                sh.min_timer = sh.min_timer.min(deadline);
-            }
-        }
         let n = &mut self.nodes[from];
         let seq_ref = n.tx_next.entry(d).or_insert(0);
         let seq = *seq_ref;
@@ -2258,8 +2214,9 @@ impl Runtime {
         match self.sched_impl {
             SchedImpl::EventIndex => self.run_event_index(horizon),
             SchedImpl::LinearScan => self.run_linear_scan(horizon),
-            SchedImpl::Sharded { threads } => self.run_sharded(threads, horizon),
-            SchedImpl::Speculative { threads } => self.run_speculative(threads, horizon),
+            SchedImpl::Sharded { threads } | SchedImpl::Speculative { threads } => {
+                self.run_sharded(threads, horizon)
+            }
         }
     }
 
@@ -2363,20 +2320,8 @@ impl Runtime {
         if let Some(sh) = &mut self.shard {
             // Every record emitted during this step is captured under the
             // event's (time, kind, node) key for the deterministic merge.
-            // The per-shard ordinal marks event boundaries within equal
-            // keys (zero-cost steps can repeat a key) and carries the
-            // shard-local dispatch order the speculative commit merge
-            // replays (see `crate::timewarp`).
             sh.cur = (t, kind, i as u32);
-            sh.ord += 1;
-            if sh.ckpt.is_some() {
-                // Speculative window: log the dispatch order so the
-                // commit merge can reconstruct the serial schedule (and
-                // pick the serial-first trap) even when tracing is off.
-                sh.dispatched.push(sh.cur);
-            }
         }
-        self.tw_save(i);
         self.poll_floor = t;
         self.san_step = (t, kind, i as u32);
         self.sched_stats.events_dispatched += 1;

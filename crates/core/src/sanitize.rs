@@ -87,37 +87,6 @@ impl Sanitizer {
         other.ctx_allocs = 0;
         other.ctx_frees = 0;
     }
-
-    /// Capture the rollback point the speculative executor restores to:
-    /// violations recorded so far (as a length — the vector is
-    /// append-only), the root-delivery step, and the conservation
-    /// counters. A rolled-back window's checks are undone wholesale; the
-    /// clean re-run re-records whatever still holds.
-    pub(crate) fn snapshot(&self) -> SanSnapshot {
-        SanSnapshot {
-            violations_len: self.violations.len(),
-            last_root_event: self.last_root_event,
-            ctx_allocs: self.ctx_allocs,
-            ctx_frees: self.ctx_frees,
-        }
-    }
-
-    /// Rewind to a [`Self::snapshot`] taken on this sanitizer.
-    pub(crate) fn rollback(&mut self, snap: &SanSnapshot) {
-        self.violations.truncate(snap.violations_len);
-        self.last_root_event = snap.last_root_event;
-        self.ctx_allocs = snap.ctx_allocs;
-        self.ctx_frees = snap.ctx_frees;
-    }
-}
-
-/// A [`Sanitizer::snapshot`] — see there.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SanSnapshot {
-    violations_len: usize,
-    last_root_event: Option<(hem_machine::Cycles, u8, u32)>,
-    ctx_allocs: u64,
-    ctx_frees: u64,
 }
 
 impl Runtime {

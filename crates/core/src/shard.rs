@@ -63,15 +63,16 @@
 //! **Determinism.** Worker shards capture every trace record under its
 //! dispatching event's `(time, kind, node)` key. At each window barrier
 //! the coordinator concatenates the shard captures, stable-sorts by key
-//! (keys are unique per event, and each shard's buffer is already
-//! sorted), and replays them through the coordinator's trace buffer and
-//! observer — reconstructing the exact single-threaded emission order,
-//! including bounded-ring truncation counts. Cross-shard packets are
-//! parked in per-shard outboxes and routed into destination inboxes at
-//! the barrier (inbox order is a deterministic function of
-//! `(delivery time, wire seq)`, so routing order is irrelevant). Wire
-//! sequence numbers are per-sender (see `Node::wire_seq`), so fault
-//! fates and same-cycle tie-breaks are identical at every thread count.
+//! (equal keys never span shards, and stability keeps each shard's
+//! dispatch order), and replays them through the coordinator's trace
+//! buffer and observer — reconstructing the exact single-threaded
+//! emission order, including bounded-ring truncation counts.
+//! Cross-shard packets are parked in per-shard outboxes and routed into
+//! destination inboxes at the barrier (inbox order is a deterministic
+//! function of `(delivery time, wire seq)`, so routing order is
+//! irrelevant). Wire sequence numbers are per-sender (see
+//! `Node::wire_seq`), so fault fates and same-cycle tie-breaks are
+//! identical at every thread count.
 //! The result: traces, makespan, `MachineStats`, and observer rollups
 //! are bit-identical between `threads = 1` and any other thread count —
 //! with the single documented exception of the scheduler heap
@@ -95,7 +96,6 @@ use hem_machine::{Cycles, NodeId};
 use std::cell::UnsafeCell;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
 
@@ -110,40 +110,17 @@ pub(crate) struct ShardCtx {
     /// `owns[i]` — does this shard own global node `i`?
     pub owns: Vec<bool>,
     /// Records emitted this window, each under its dispatching event's
-    /// key and shard-local dispatch ordinal. Appended in dispatch order;
-    /// under conservative windows the buffer is also key-sorted, while
-    /// the speculative executor's zero-lookahead windows may interleave
-    /// keys non-monotonically (a dispatched event can create a
-    /// smaller-key candidate via a zero-latency send) — the ordinal
-    /// preserves the true shard-local order either way.
-    pub capture: Vec<(EventKey, u32, TraceRecord)>,
+    /// key, appended in dispatch order.
+    pub capture: Vec<(EventKey, TraceRecord)>,
     /// Packets addressed to nodes of other shards, parked for the
     /// coordinator to route at the window barrier.
     pub outbox: Vec<(u32, InboxEntry)>,
     /// Key of the event currently being dispatched (capture tag; also
     /// identifies the trapping event when a dispatch returns an error).
     pub cur: EventKey,
-    /// Shard-local dispatch ordinal of the current event (monotone per
-    /// worker; distinguishes back-to-back events that share a key).
-    pub ord: u32,
     /// Capture records at all? Mirrors "trace buffer enabled or observer
     /// attached" on the coordinator.
     pub record: bool,
-    /// Copy-on-dirty window checkpoint, armed only by the speculative
-    /// executor (see [`crate::timewarp`]); `None` under conservative
-    /// sharded execution, where `Runtime::tw_save` is a no-op.
-    pub ckpt: Option<crate::timewarp::TwCkpt>,
-    /// Event keys in shard-local dispatch order, logged only while a
-    /// checkpoint is armed: the speculative commit merge's master order
-    /// (available even when tracing is off, unlike `capture`).
-    pub dispatched: Vec<EventKey>,
-    /// Earliest retransmission-timer deadline armed during the current
-    /// speculative window (`Cycles::MAX` when none). Conservative
-    /// windows cannot outrun `retx_base`, so a mid-window timer is never
-    /// due in-window there; optimistic windows can, and workers never
-    /// fire timers — validation treats a deadline below the window edge
-    /// exactly like a straggler.
-    pub min_timer: Cycles,
 }
 
 /// Full spin budget before yielding on a cross-thread wait. Windows are
@@ -177,12 +154,12 @@ fn host_cores() -> usize {
 /// proportionally (`SPIN · cores / threads`) and collapses to zero on a
 /// single-core host, where the yield tier hands the timeslice straight
 /// to the producer.
-pub(crate) struct SpinTiers {
-    pub spin: u32,
-    pub yields: u32,
+struct SpinTiers {
+    spin: u32,
+    yields: u32,
 }
 
-pub(crate) fn spin_tiers(threads: usize) -> SpinTiers {
+fn spin_tiers(threads: usize) -> SpinTiers {
     let cores = host_cores();
     if cores <= 1 {
         return SpinTiers {
@@ -201,30 +178,12 @@ pub(crate) fn spin_tiers(threads: usize) -> SpinTiers {
     }
 }
 
-/// Blocking channel receive with the graded spin/yield/park discipline
-/// (see [`spin_tiers`]); used by the speculative executor's rendezvous.
-pub(crate) fn recv_spin<T>(rx: &Receiver<T>, threads: usize) -> T {
-    let tiers = spin_tiers(threads);
-    for tier in 0..2u8 {
-        let budget = if tier == 0 { tiers.spin } else { tiers.yields };
-        for _ in 0..budget {
-            match rx.try_recv() {
-                Ok(v) => return v,
-                Err(TryRecvError::Empty) if tier == 0 => std::hint::spin_loop(),
-                Err(TryRecvError::Empty) => std::thread::yield_now(),
-                Err(TryRecvError::Disconnected) => panic!("shard worker thread died"),
-            }
-        }
-    }
-    rx.recv().expect("shard worker thread died")
-}
-
 /// One shard's in-window dispatch loop: the event index restricted to
 /// candidates with key strictly below `end`. Mirrors
 /// `Runtime::run_event_index` (pop, lazy re-validation, dispatch,
 /// re-arm), except that candidates at or past the window edge are left
 /// for the next window's reseeding instead of being re-keyed.
-pub(crate) fn run_window(rt: &mut Runtime, end: Cycles) -> Result<(), Trap> {
+fn run_window(rt: &mut Runtime, end: Cycles) -> Result<(), Trap> {
     while rt.sched.peek().is_some_and(|e| e.time < end) {
         let e = rt.sched.pop().expect("peeked entry");
         let i = e.node as usize;
@@ -243,27 +202,12 @@ pub(crate) fn run_window(rt: &mut Runtime, end: Cycles) -> Result<(), Trap> {
         if t >= end {
             continue;
         }
-        if kind == 2 {
-            // A retransmission timer came due inside the window. Under
-            // conservative windows this is impossible (`end` never
-            // outruns `retx_base`); under a speculative window it means
-            // a timer armed mid-window — already recorded in
-            // `min_timer`, so validation is guaranteed to roll this
-            // attempt back below the deadline. Timer handlers need
-            // full-machine visibility, so don't fire it: stop the shard
-            // early and let the rollback discard everything.
-            if rt.shard.as_ref().is_some_and(|sh| sh.ckpt.is_some()) {
-                debug_assert!(
-                    rt.shard.as_ref().is_some_and(|sh| sh.min_timer < end),
-                    "in-window timer not recorded for validation"
-                );
-                break;
-            }
-            debug_assert!(
-                false,
-                "retransmission timer fired inside a window (lookahead bound violated)"
-            );
-        }
+        // A retransmission timer inside a window is impossible: `end`
+        // never outruns `retx_base`.
+        debug_assert!(
+            kind != 2,
+            "retransmission timer fired inside a window (lookahead bound violated)"
+        );
         rt.dispatch_event(t, kind, i)?;
         if let Some((t, kind)) = rt.node_candidate(i) {
             if t < end {
@@ -601,7 +545,7 @@ impl Runtime {
     /// what the windowed path reports at higher thread counts. Reseeds
     /// the index from scratch and clears it afterwards, so repeated
     /// horizon-bounded calls compose.
-    pub(crate) fn run_sharded_fallback(&mut self, horizon: Cycles) -> Result<(), Trap> {
+    fn run_sharded_fallback(&mut self, horizon: Cycles) -> Result<(), Trap> {
         let saved = self.sched_impl;
         self.sched_impl = SchedImpl::EventIndex;
         for i in 0..self.nodes.len() {
@@ -626,7 +570,7 @@ impl Runtime {
     /// node present so global indexing works, but only owned nodes ever
     /// hold state during a window) sharing the program and fault plan,
     /// with tracing redirected into the shard capture.
-    pub(crate) fn make_worker(&self, s: usize, owner: &[usize], record: bool) -> Runtime {
+    fn make_worker(&self, s: usize, owner: &[usize], record: bool) -> Runtime {
         let mut net = Network::new();
         net.set_plan(self.net.plan().cloned());
         Runtime {
@@ -673,17 +617,12 @@ impl Runtime {
             san_step: Self::SAN_ROOT_STEP,
             ext_seq: 0,
             completions: std::collections::BTreeMap::new(),
-            spec: crate::timewarp::SpecStats::default(),
             shard: Some(Box::new(ShardCtx {
                 owns: owner.iter().map(|&o| o == s).collect(),
                 capture: Vec::new(),
                 outbox: Vec::new(),
                 cur: (0, 0, 0),
-                ord: 0,
                 record,
-                ckpt: None,
-                dispatched: Vec::new(),
-                min_timer: Cycles::MAX,
             })),
             shard_weights: None,
             pool: None,
@@ -795,7 +734,7 @@ impl Runtime {
         }
 
         let mut outcome: Result<(), (EventKey, Trap)> = Ok(());
-        let mut merged: Vec<(EventKey, u32, TraceRecord)> = Vec::new();
+        let mut merged: Vec<(EventKey, TraceRecord)> = Vec::new();
         'windows: loop {
             // W and the timer bound from the published per-shard minima
             // (O(T), replacing the old coordinator's O(P) rescan).
@@ -911,17 +850,14 @@ impl Runtime {
             self.sched_stats.windows += 1;
             self.sched_stats.window_events += wevents;
             self.sched_stats.max_window_events = self.sched_stats.max_window_events.max(wevents);
-            // Stable sort of key-sorted shard runs == deterministic
-            // merge; keys are unique per event and the ordinal orders
-            // records within one, so the order is total. (Conservative
-            // windows dispatch in non-decreasing key order per shard —
-            // only the speculative executor needs the general
-            // heads-merge; see `crate::timewarp`.)
-            merged.sort_by_key(|(k, o, _)| (*k, *o));
+            // Deterministic merge: a stable sort by key. Equal keys never
+            // span shards (the node id is part of the key), and stability
+            // keeps each shard's records in dispatch order within a key.
+            merged.sort_by_key(|(k, _)| *k);
             if let Some(&(trap_key, _)) = fails.iter().min_by_key(|(k, _)| *k) {
                 // Keep only what a single-threaded run would have
                 // emitted before (and during) the trapping event.
-                for (k, _, rec) in merged.drain(..) {
+                for (k, rec) in merged.drain(..) {
                     if k <= trap_key {
                         self.flush_record(rec);
                     }
@@ -933,7 +869,7 @@ impl Runtime {
                 outcome = Err((key, trap));
                 break 'windows;
             }
-            for (_, _, rec) in merged.drain(..) {
+            for (_, rec) in merged.drain(..) {
                 self.flush_record(rec);
             }
         }

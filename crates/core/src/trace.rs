@@ -465,7 +465,7 @@ impl crate::rt::Runtime {
         let at = self.nodes[node].time;
         if let Some(sh) = &mut self.shard {
             if sh.record {
-                sh.capture.push((sh.cur, sh.ord, TraceRecord { at, event }));
+                sh.capture.push((sh.cur, TraceRecord { at, event }));
             }
             return;
         }

@@ -538,11 +538,10 @@ impl<M> Network<M> {
     }
 
     /// Reset the traffic and fault counters to a previously captured
-    /// [`Self::stats`] snapshot — the anti-message half of the speculative
-    /// executor's rollback: traffic a cancelled window accounted for is
-    /// un-accounted wholesale, so a clean re-run re-draws identical
-    /// numbers. Delivery state is untouched (callers drain the in-flight
-    /// heap within each injection, so it is empty between events).
+    /// [`Self::stats`] snapshot (the sharded executor zeroes its worker
+    /// networks this way after folding their counters). Delivery state is
+    /// untouched (callers drain the in-flight heap within each injection,
+    /// so it is empty between events).
     pub fn restore_counters(&mut self, snap: &crate::stats::NetStats) {
         self.sent = snap.sent;
         self.delivered = snap.delivered;

@@ -173,8 +173,8 @@ pub struct SchedStats {
     /// non-zero value means any report derived from the trace was computed
     /// from a *truncated* event stream.
     pub dropped_events: u64,
-    /// Parallel virtual-time windows executed (sharded and speculative
-    /// executors; 0 under the single-threaded dispatchers, like the heap
+    /// Parallel virtual-time windows executed (sharded executor; 0
+    /// under the single-threaded dispatchers, like the heap
     /// diagnostics above).
     pub windows: u64,
     /// Events the window coordinator stepped serially (timers, or window
@@ -187,9 +187,8 @@ pub struct SchedStats {
     pub max_window_events: u64,
     /// Whole worker runtimes shipped through an OS channel to reach or
     /// leave a worker thread. The coordinator-free sharded executor pins
-    /// worker state to its thread and never moves a runtime — this reads
-    /// 0 there at every thread count — while the optimistic (Time-Warp)
-    /// executor still rendezvouses through channels and counts honestly.
+    /// worker state to its thread and never moves a runtime, so this
+    /// reads 0 at every thread count.
     pub runtime_moves: u64,
     /// Coordinator channel rendezvous (a job send paired with a result
     /// receive). 0 under the coordinator-free sharded executor, whose

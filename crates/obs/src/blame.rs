@@ -25,7 +25,7 @@
 //! Like every observer, the blame tracker is zero-virtual-time: traces,
 //! clocks and makespan are bit-identical with it attached or not, and
 //! because it is a pure function of the (executor-invariant) record
-//! stream, its output is bit-identical across all four executors and
+//! stream, its output is bit-identical across all three executors and
 //! every thread count.
 
 use std::collections::HashMap;

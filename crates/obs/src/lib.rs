@@ -42,7 +42,7 @@ pub use critpath::{
 pub use fanout::Fanout;
 pub use hist::Log2Hist;
 pub use model::Timeline;
-pub use report::{Report, SchedSummary, ServiceSummary, SpecSummary};
+pub use report::{Report, SchedSummary, ServiceSummary};
 pub use rollup::Rollup;
 pub use series::{Series, SeriesBucket, SeriesSummary};
 

@@ -68,39 +68,24 @@ fn esc(s: &str) -> String {
 /// Serialize a timeline (plus the raw records, for instants) to a
 /// Perfetto-loadable JSON string.
 pub fn to_json(records: &[TraceRecord], tl: &Timeline, program: &Program) -> String {
-    to_json_with_spec(records, tl, program, None)
+    to_json_full(records, tl, program, None)
 }
 
-/// [`to_json`], optionally with a speculative-executor diagnostics track:
-/// a synthetic "speculation" process whose counter (`C`) events carry the
-/// run's committed-window / rollback / anti-message totals, so a
-/// `hemprof --speculative --perfetto` capture shows how much optimism the
-/// host execution spent next to what the simulated machine did.
-pub fn to_json_with_spec(
-    records: &[TraceRecord],
-    tl: &Timeline,
-    program: &Program,
-    spec: Option<&crate::SpecSummary>,
-) -> String {
-    to_json_full(records, tl, program, spec, None)
-}
-
-/// [`to_json_with_spec`], optionally with virtual-time series counter
-/// tracks: a synthetic "series" process whose `C` (counter) events plot
-/// the windowed load (arrived/done/shed), in-flight requests, queue-wait
+/// [`to_json`], optionally with virtual-time series counter tracks: a
+/// synthetic "series" process whose `C` (counter) events plot the
+/// windowed load (arrived/done/shed), in-flight requests, queue-wait
 /// integral, and total node occupancy over virtual time — one sample per
 /// series window, stamped at the window's start.
 pub fn to_json_full(
     records: &[TraceRecord],
     tl: &Timeline,
     program: &Program,
-    spec: Option<&crate::SpecSummary>,
     series: Option<&crate::SeriesSummary>,
 ) -> String {
     let mut w = W::new();
 
     if let Some(se) = series {
-        // One process above both the node pids and the speculation pid.
+        // A process above the node pids (pid `n_nodes` stays unused).
         let pid = tl.n_nodes + 1;
         w.event(format_args!(
             "\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
@@ -130,29 +115,6 @@ pub fn to_json_full(
                 b.busy_total()
             ));
         }
-    }
-
-    if let Some(s) = spec {
-        // One process above the node pids; counters are totals stamped at
-        // the end of the run (the executor validates at window barriers,
-        // so there is no meaningful per-cycle series to plot).
-        let pid = tl.n_nodes;
-        let at = tl.makespan;
-        w.event(format_args!(
-            "\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"speculation ({} threads)\"}}",
-            s.threads
-        ));
-        w.event(format_args!(
-            "\"ph\":\"C\",\"cat\":\"spec\",\"name\":\"windows\",\"pid\":{pid},\"tid\":0,\
-             \"ts\":{at},\"args\":{{\"committed\":{},\"rolled_back\":{},\"serial_steps\":{}}}",
-            s.windows, s.rollbacks, s.serial_steps
-        ));
-        w.event(format_args!(
-            "\"ph\":\"C\",\"cat\":\"spec\",\"name\":\"rollback cost\",\"pid\":{pid},\"tid\":0,\
-             \"ts\":{at},\"args\":{{\"anti_messages\":{},\"ckpt_nodes\":{}}}",
-            s.anti_messages, s.ckpt_nodes
-        ));
     }
 
     // Process/thread naming metadata.
@@ -306,7 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_counter_track_is_optional_and_parses() {
+    fn series_counter_track_is_optional_and_parses() {
         let a = NodeId(0);
         let recs = vec![
             TraceRecord {
@@ -336,28 +298,32 @@ mod tests {
                 .count()
         };
         assert_eq!(count_c(&plain), 0);
-        let spec = crate::SpecSummary {
-            threads: 4,
-            windows: 12,
-            serial_steps: 3,
-            rollbacks: 5,
-            anti_messages: 9,
-            ckpt_nodes: 40,
-            max_window: 64,
+        let series = crate::SeriesSummary {
+            window: 4,
+            nodes: 2,
+            buckets: vec![crate::series::SeriesBucket {
+                start: 0,
+                arrived: 3,
+                done: 2,
+                shed: 1,
+                in_flight: 1,
+                queue_wait: 5,
+                busy: vec![4, 2],
+            }],
         };
-        let out = to_json_with_spec(&recs, &tl, &program, Some(&spec));
+        let out = to_json_full(&recs, &tl, &program, Some(&series));
         let doc = Json::parse(&out).expect("valid JSON");
-        assert_eq!(count_c(&doc), 2, "windows + rollback-cost counters");
+        assert_eq!(count_c(&doc), 4, "load, in-flight, queue-wait, occupancy");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        let windows = events
+        let load = events
             .iter()
-            .find(|e| e.get("name").and_then(|v| v.as_str()) == Some("windows"))
-            .expect("windows counter");
-        let args = windows.get("args").unwrap();
-        assert_eq!(args.get("committed").unwrap().as_num(), Some(12.0));
-        assert_eq!(args.get("rolled_back").unwrap().as_num(), Some(5.0));
+            .find(|e| e.get("name").and_then(|v| v.as_str()) == Some("load"))
+            .expect("load counter");
+        let args = load.get("args").unwrap();
+        assert_eq!(args.get("arrived").unwrap().as_num(), Some(3.0));
+        assert_eq!(args.get("shed").unwrap().as_num(), Some(1.0));
         // The counter track lives on its own pid above the node pids.
-        assert_eq!(windows.get("pid").unwrap().as_num(), Some(2.0));
+        assert_eq!(load.get("pid").unwrap().as_num(), Some(3.0));
     }
 
     #[test]

@@ -21,9 +21,9 @@ use crate::series::SeriesSummary;
 
 /// Scheduler-occupancy counters lifted straight out of
 /// `MachineStats.sched`: how the dispatch loop (and, for the parallel
-/// executors, the window coordinator) actually ran. Host-execution
-/// diagnostics — like [`SpecSummary`], they vary with the executor and
-/// thread count while the simulated machine stays bit-identical.
+/// executor, the window coordinator) actually ran. Host-execution
+/// diagnostics: they vary with the executor and thread count while the
+/// simulated machine stays bit-identical.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedSummary {
     /// Events actually dispatched.
@@ -93,42 +93,6 @@ pub struct ServiceSummary {
     pub latency: Log2Hist,
 }
 
-/// Summary of what the optimistic (Time-Warp) executor did during a
-/// `--speculative` run: committed windows, rollbacks, cancelled traffic.
-/// These are host-execution diagnostics — they vary with the thread
-/// count and say nothing about the simulated machine, whose stats stay
-/// bit-identical across executors.
-#[derive(Debug, Clone, Default)]
-pub struct SpecSummary {
-    /// Host worker threads the run used.
-    pub threads: usize,
-    /// Speculative windows committed (validated clean).
-    pub windows: u64,
-    /// Events stepped serially by the coordinator (timers, or
-    /// stragglers landing on the window base).
-    pub serial_steps: u64,
-    /// Windows rolled back on straggler detection.
-    pub rollbacks: u64,
-    /// Speculatively sent cross-shard packets cancelled by rollbacks.
-    pub anti_messages: u64,
-    /// Copy-on-dirty node snapshots taken.
-    pub ckpt_nodes: u64,
-    /// Widest committed window, in cycles.
-    pub max_window: u64,
-}
-
-impl SpecSummary {
-    /// Fraction of window attempts that rolled back.
-    pub fn rollback_rate(&self) -> f64 {
-        let attempts = self.windows + self.rollbacks;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.rollbacks as f64 / attempts as f64
-        }
-    }
-}
-
 /// One method's row.
 #[derive(Debug, Clone)]
 pub struct MethodRow {
@@ -172,8 +136,6 @@ pub struct Report {
     pub touch_q: [u64; 3],
     /// Open-system section (set via [`Report::with_service`]).
     pub service: Option<ServiceSummary>,
-    /// Speculative-executor section (set via [`Report::with_speculative`]).
-    pub speculative: Option<SpecSummary>,
     /// Scheduler / window-occupancy counters (set via
     /// [`Report::with_sched`]). Opt-in because they are host-execution
     /// diagnostics: they vary with the executor and thread count, and the
@@ -238,7 +200,6 @@ impl Report {
             touch_mean: rollup.touch_latency.mean(),
             touch_q: quantiles(&rollup.touch_latency),
             service: None,
-            speculative: None,
             sched: None,
             blame: None,
             series: None,
@@ -252,12 +213,6 @@ impl Report {
     /// Attach the open-system service section.
     pub fn with_service(mut self, s: ServiceSummary) -> Report {
         self.service = Some(s);
-        self
-    }
-
-    /// Attach the speculative-executor diagnostics section.
-    pub fn with_speculative(mut self, s: SpecSummary) -> Report {
-        self.speculative = Some(s);
         self
     }
 
@@ -420,28 +375,6 @@ impl Report {
                 }
             }
         }
-        if let Some(s) = &self.speculative {
-            let _ = writeln!(o);
-            let _ = writeln!(
-                o,
-                "speculative executor ({} threads, host diagnostics — simulated stats are \
-                 executor-invariant):",
-                s.threads
-            );
-            let _ = writeln!(
-                o,
-                "  windows {}  serial-steps {}  rollbacks {} ({:.1}% of attempts)",
-                s.windows,
-                s.serial_steps,
-                s.rollbacks,
-                100.0 * s.rollback_rate()
-            );
-            let _ = writeln!(
-                o,
-                "  anti-messages {}  checkpointed-nodes {}  max-window {} cycles",
-                s.anti_messages, s.ckpt_nodes, s.max_window
-            );
-        }
         if let Some(s) = &self.sched {
             let _ = writeln!(o);
             let _ = writeln!(
@@ -572,22 +505,6 @@ impl Report {
                     "null".into()
                 },
                 quantile_obj_opt(q)
-            );
-        }
-        if let Some(s) = &self.speculative {
-            let _ = write!(
-                o,
-                ",\"speculative\":{{\"threads\":{},\"windows\":{},\"serial_steps\":{},\
-                 \"rollbacks\":{},\"rollback_rate\":{:.6},\"anti_messages\":{},\
-                 \"ckpt_nodes\":{},\"max_window\":{}}}",
-                s.threads,
-                s.windows,
-                s.serial_steps,
-                s.rollbacks,
-                s.rollback_rate(),
-                s.anti_messages,
-                s.ckpt_nodes,
-                s.max_window
             );
         }
         if let Some(sc) = &self.sched {
@@ -862,36 +779,5 @@ mod tests {
         assert!(base.get("blame").is_none());
         assert!(base.get("series").is_none());
         assert!(base.get("sched").is_none());
-    }
-
-    #[test]
-    fn speculative_section_renders_in_text_and_json() {
-        let (r, s, p, sm) = toy();
-        let base = Report::new("toy", &r, &s, &p, &sm);
-        assert!(
-            !base.text().contains("speculative executor"),
-            "no section unless attached"
-        );
-        let rep = Report::new("toy", &r, &s, &p, &sm).with_speculative(SpecSummary {
-            threads: 4,
-            windows: 30,
-            serial_steps: 5,
-            rollbacks: 10,
-            anti_messages: 17,
-            ckpt_nodes: 240,
-            max_window: 64,
-        });
-        let text = rep.text();
-        assert!(text.contains("speculative executor (4 threads"));
-        assert!(text.contains("windows 30  serial-steps 5  rollbacks 10 (25.0% of attempts)"));
-        assert!(text.contains("anti-messages 17  checkpointed-nodes 240  max-window 64 cycles"));
-        let doc = Json::parse(&rep.json()).expect("valid json");
-        let sp = doc.get("speculative").unwrap();
-        assert_eq!(sp.get("windows").unwrap().as_num(), Some(30.0));
-        assert_eq!(sp.get("rollbacks").unwrap().as_num(), Some(10.0));
-        assert_eq!(sp.get("rollback_rate").unwrap().as_num(), Some(0.25));
-        assert_eq!(sp.get("anti_messages").unwrap().as_num(), Some(17.0));
-        let base_doc = Json::parse(&Report::new("toy", &r, &s, &p, &sm).json()).unwrap();
-        assert!(base_doc.get("speculative").is_none());
     }
 }

@@ -12,7 +12,7 @@
 //! * **Bit-identity** — the blame summary JSON and the series summary
 //!   JSON are pure functions of the (executor-invariant) record stream,
 //!   so they must be byte-identical across the event-index, linear-scan,
-//!   sharded, and speculative executors at threads {1, 2, 4}.
+//!   and sharded executors at threads {1, 2, 4}.
 //!
 //! A property test drives the same invariants over generated
 //! `(seed, drop, dup, jitter)` fault plans.
@@ -45,10 +45,6 @@ fn executors() -> Vec<(String, SchedImpl)> {
     ];
     for t in THREADS {
         v.push((format!("sharded-{t}"), SchedImpl::Sharded { threads: t }));
-        v.push((
-            format!("speculative-{t}"),
-            SchedImpl::Speculative { threads: t },
-        ));
     }
     v
 }
@@ -193,7 +189,7 @@ fn retransmit_penalty_appears_under_heavy_drops() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Tiling holds for arbitrary fault plans on both parallel executors.
+    /// Tiling holds for arbitrary fault plans on the sharded executor.
     #[test]
     fn tiling_holds_for_generated_fault_plans(
         seed in 0u64..1_000_000,
@@ -201,19 +197,13 @@ proptest! {
         dup in 0u16..80,
         jitter in 0u64..60,
         threads_idx in 0usize..THREADS.len(),
-        speculative in any::<bool>(),
     ) {
         let threads = THREADS[threads_idx];
         let mut plan = FaultPlan::seeded(seed);
         plan.drop_permille = drop;
         plan.dup_permille = dup;
         plan.jitter_max = jitter;
-        let sched = if speculative {
-            SchedImpl::Speculative { threads }
-        } else {
-            SchedImpl::Sharded { threads }
-        };
-        let obs = run_observed(seed, sched, Some(&plan));
+        let obs = run_observed(seed, SchedImpl::Sharded { threads }, Some(&plan));
         assert_tiling(&format!("prop/seed{seed}"), &obs);
     }
 }

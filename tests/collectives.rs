@@ -10,9 +10,9 @@
 //!
 //! * **Executor matrix** — the collectives-heavy kernels (sync's full
 //!   cast/reduce/barrier mix, EM3D, SOR) run bit-identically on the
-//!   linear scan, the sharded executor and the optimistic (Time-Warp)
-//!   executor at 2 and 4 threads, against the event-index baseline, over
-//!   three pinned seeds, with and without a seeded fault plan.
+//!   linear scan and the sharded executor at 2 and 4 threads, against
+//!   the event-index baseline, over three pinned seeds, with and without
+//!   a seeded fault plan.
 //! * **Degenerate groups** — empty groups, size-1 groups, groups covering
 //!   every node, and a root that is itself a member (self-leg) all
 //!   resolve with the right values and the same bit-identity.
@@ -55,8 +55,6 @@ fn executors() -> Vec<(&'static str, SchedImpl)> {
         ("linear-scan", SchedImpl::LinearScan),
         ("sharded-2", SchedImpl::Sharded { threads: 2 }),
         ("sharded-4", SchedImpl::Sharded { threads: 4 }),
-        ("speculative-2", SchedImpl::Speculative { threads: 2 }),
-        ("speculative-4", SchedImpl::Speculative { threads: 4 }),
     ]
 }
 
@@ -224,8 +222,7 @@ fn collectives_bit_identical_across_executors() {
 /// Faulty matrix: the same diff with a seeded fault plan (loss,
 /// duplication, jitter; reliable transport engaged) — collective legs
 /// take the same transport path as point-to-point sends, so their fault
-/// fates and retransmissions must replay identically everywhere,
-/// including through Time-Warp rollbacks.
+/// fates and retransmissions must replay identically everywhere.
 #[test]
 fn collectives_bit_identical_under_faults() {
     for kernel in KERNELS {

@@ -5,9 +5,8 @@
 //! `(seed, rate, horizon)` the run — arrival times, admission decisions,
 //! injected requests, traces, machine stats, rollup report with its
 //! service section — is a pure function of the configuration, identical
-//! across the event-index, linear-scan, sharded, and speculative
-//! (Time-Warp) executors at every thread count, with or without a fault
-//! plan. On top of that:
+//! across the event-index, linear-scan, and sharded executors at every
+//! thread count, with or without a fault plan. On top of that:
 //!
 //! * `run_until` is resumable: stepping to a horizon in many chunks is
 //!   bit-identical to reaching it in one call;
@@ -136,8 +135,6 @@ fn open_system_is_bit_identical_across_executors() {
         for threads in THREADS {
             let sh = run_service_mix(seed, SchedImpl::Sharded { threads }, None);
             assert_bit_identical(&format!("seed{seed}/threads{threads}"), &base, &sh);
-            let sp = run_service_mix(seed, SchedImpl::Speculative { threads }, None);
-            assert_bit_identical(&format!("seed{seed}/speculative{threads}"), &base, &sp);
         }
     }
 }
@@ -157,12 +154,6 @@ fn open_system_is_bit_identical_under_faults() {
         for threads in THREADS {
             let sh = run_service_mix(seed, SchedImpl::Sharded { threads }, Some(&plan));
             assert_bit_identical(&format!("seed{seed}/faulty/threads{threads}"), &base, &sh);
-            let sp = run_service_mix(seed, SchedImpl::Speculative { threads }, Some(&plan));
-            assert_bit_identical(
-                &format!("seed{seed}/faulty/speculative{threads}"),
-                &base,
-                &sp,
-            );
         }
     }
 }
@@ -198,7 +189,6 @@ fn run_until_composes_across_chunked_horizons() {
         SchedImpl::EventIndex,
         SchedImpl::LinearScan,
         SchedImpl::Sharded { threads: 2 },
-        SchedImpl::Speculative { threads: 2 },
     ] {
         let whole = drive(sched, &[20_000]);
         let chunked = drive(sched, &[150, 151, 400, 2_000, 2_001, 20_000]);

@@ -366,163 +366,3 @@ fn deep_chain_reverts_to_parallel() {
         "deep chain never diverted through a heap context"
     );
 }
-
-/// The speculative (Time-Warp) executor under the deterministic
-/// tie-break: `sharded_config_conforms`, with optimism. Every micro and
-/// app kernel run with `SchedImpl::Speculative` must be sanitizer-clean
-/// (the online sanitizer state is checkpointed and rolled back with the
-/// nodes, so a cancelled window's provisional violations vanish),
-/// bit-identical to the single-threaded event index, and
-/// state-equivalent to the ParallelOnly reference. The workers carry
-/// their own copy of any seeded protocol mutant, so every mutant the
-/// single-threaded conformance run catches is caught through the
-/// speculative path too.
-#[test]
-fn speculative_config_conforms() {
-    for m in micro_kernels() {
-        let base = run_micro_sched(&m, ExecMode::Hybrid, TieBreak::Det, SchedImpl::EventIndex);
-        assert_clean(&format!("{}/speculative-base", m.name), &base);
-        for threads in [2usize, 4] {
-            let label = format!("{}/speculative{threads}", m.name);
-            let o = run_micro_sched(
-                &m,
-                ExecMode::Hybrid,
-                TieBreak::Det,
-                SchedImpl::Speculative { threads },
-            );
-            assert_clean(&label, &o);
-            assert_eq!(o.result, base.result, "{label}: result");
-            assert_eq!(o.makespan, base.makespan, "{label}: makespan");
-            assert_state_close(&label, &o.objects, &base.objects);
-            if m.name == "deep-chain" {
-                assert!(
-                    o.stats.totals().ctx_alloc > 0,
-                    "{label}: deep chain never diverted through a heap context"
-                );
-            }
-        }
-    }
-    for kernel in APP_KERNELS {
-        let reference = run_app(
-            kernel,
-            ExecMode::ParallelOnly,
-            InterfaceSet::Full,
-            TieBreak::Det,
-        );
-        let base = run_app(kernel, ExecMode::Hybrid, InterfaceSet::Full, TieBreak::Det);
-        for threads in [2usize, 4] {
-            let label = format!("{kernel}/speculative{threads}");
-            let o = run_app_sched(
-                kernel,
-                ExecMode::Hybrid,
-                InterfaceSet::Full,
-                TieBreak::Det,
-                SchedImpl::Speculative { threads },
-            );
-            assert_clean(&label, &o);
-            assert_eq!(o.makespan, base.makespan, "{label}: makespan");
-            assert_eq!(o.objects, base.objects, "{label}: object state");
-            assert_state_close(&label, &o.objects, &reference.objects);
-        }
-    }
-}
-
-/// Rollback bookkeeping under fire: a zero-lookahead ring with a seeded
-/// fault plan forces the speculative executor through straggler
-/// rollbacks (asserted via its diagnostics) while every cancelled
-/// window's re-sent packets must re-draw *identical* fault fates — which
-/// holds only because rollback restores the per-sender wire sequence
-/// counters along with the node snapshots. The sixth seeded mutant
-/// (`skip-wire-seq-restore`) keeps the speculatively advanced counters
-/// across rollback instead; its re-sends then draw fresh sequence
-/// numbers, the fault plan re-rolls their fates, and this test's trace /
-/// stats diff catches the divergence.
-#[test]
-fn speculative_rollbacks_preserve_fault_fates() {
-    use hem::ir::{BinOp, ProgramBuilder};
-    use hem::machine::fault::FaultPlan;
-    use hem::machine::NodeId;
-
-    let build = || {
-        let mut pb = ProgramBuilder::new();
-        let c = pb.class("C", false);
-        let peer = pb.field(c, "peer");
-        let bounce = pb.declare(c, "bounce", 1);
-        pb.define(bounce, |mb| {
-            let n = mb.arg(0);
-            let done = mb.binl(BinOp::Lt, n, 1);
-            mb.if_else(
-                done,
-                |mb| mb.reply(n),
-                |mb| {
-                    let pr = mb.get_field(peer);
-                    let n1 = mb.binl(BinOp::Sub, n, 1);
-                    let s = mb.invoke_into(pr, bounce, &[n1.into()]);
-                    let v = mb.touch_get(s);
-                    let r = mb.binl(BinOp::Add, v, n);
-                    mb.reply(r);
-                },
-            );
-        });
-        (pb.finish(), peer, bounce)
-    };
-    let run = |sched: SchedImpl, seed: u64| {
-        let (program, peer, bounce) = build();
-        // Unit cost model: zero wire latency, zero lookahead — the
-        // regime where speculation (and hence rollback) actually runs.
-        let mut rt = Runtime::new(
-            program,
-            4,
-            CostModel::unit(),
-            ExecMode::Hybrid,
-            InterfaceSet::Full,
-        )
-        .unwrap();
-        rt.sched_impl = sched;
-        rt.enable_trace();
-        let mut plan = FaultPlan::seeded(seed);
-        plan.drop_permille = 20;
-        plan.dup_permille = 20;
-        plan.jitter_max = 80;
-        rt.set_fault_plan(plan);
-        let objs: Vec<_> = (0..4)
-            .map(|i| rt.alloc_object_by_name("C", NodeId(i)))
-            .collect();
-        for (i, &o) in objs.iter().enumerate() {
-            rt.set_field(o, peer, Value::Obj(objs[(i + 1) % objs.len()]));
-        }
-        let result = rt.call(objs[0], bounce, &[Value::Int(25)]).expect("runs");
-        (
-            result,
-            rt.makespan(),
-            rt.take_trace(),
-            rt.stats(),
-            rt.spec_stats(),
-        )
-    };
-    for seed in seeds() {
-        let (res, mk, trace, stats, _) = run(SchedImpl::EventIndex, seed);
-        assert_eq!(res, Some(Value::Int(325)), "seed {seed}: 25+24+...+1");
-        let label = format!("faulty-ring/seed{seed}/speculative2");
-        let (res2, mk2, trace2, stats2, spec) = run(SchedImpl::Speculative { threads: 2 }, seed);
-        assert!(
-            spec.rollbacks > 0,
-            "{label}: no rollback happened — the test exercises nothing \
-             (diagnostics: {spec:?})"
-        );
-        assert_eq!(res, res2, "{label}: result");
-        assert_eq!(mk, mk2, "{label}: makespan");
-        if let Some(i) = (0..trace.len().min(trace2.len())).find(|&i| trace[i] != trace2[i]) {
-            panic!(
-                "{label}: traces diverge at record {i}:\n  event-index: {:?}\n  speculative: {:?}",
-                trace[i], trace2[i]
-            );
-        }
-        assert_eq!(trace.len(), trace2.len(), "{label}: trace length");
-        assert_eq!(stats.net, stats2.net, "{label}: net/fault stats");
-        assert_eq!(
-            stats.per_node, stats2.per_node,
-            "{label}: per-node counters"
-        );
-    }
-}
