@@ -72,7 +72,10 @@
 //!
 //! Each subcommand rejects flags outside its own set (exit 2, naming the
 //! flag), so a misspelled or retired flag never silently runs a
-//! different configuration.
+//! different configuration. Sizes the kernels cannot run — an empty
+//! machine, a non-square SOR grid, a non-power-of-two MD bisection, an
+//! empty SOR grid or MD system, no serve backends — are refused the same
+//! way, with a one-line `hemprof: --x must …` message.
 //!
 //! The rollup report streams through the observer hook, so it is exact
 //! even when `--ring` truncates the buffered trace; only `--events`,
@@ -105,6 +108,21 @@ fn usage() -> ! {
     eprintln!("               [--report table|json] [--perfetto FILE] [--critical-path]");
     eprintln!("               [--events]");
     std::process::exit(2);
+}
+
+/// Reject a degenerate configuration up front: one line naming the flag,
+/// exit 2 (a usage error, like an unknown flag).
+fn reject(what: &str) -> ! {
+    eprintln!("hemprof: {what}");
+    std::process::exit(2);
+}
+
+/// Machine sizes the runtime accepts: wire sequence numbers carry the
+/// sender in 20 bits.
+fn check_machine_size(p: u32) {
+    if p == 0 || p >= 1 << 20 {
+        reject("--p must be between 1 and 1048575 (machine size)");
+    }
 }
 
 fn parse_mode(args: &Args) -> ExecMode {
@@ -255,6 +273,17 @@ fn main() {
             "forward" => hem_apps::em3d::Style::Forward,
             _ => usage(),
         };
+    }
+    check_machine_size(cfg.p);
+    match kernel {
+        Kernel::Sor if cfg.p.isqrt().pow(2) != cfg.p => {
+            reject("--p must be a perfect square for sor (a square processor grid)")
+        }
+        Kernel::Md if cfg.high_locality && !cfg.p.is_power_of_two() => {
+            reject("--p must be a power of two for md's spatial layout (bisection)")
+        }
+        Kernel::Sor | Kernel::Md if cfg.size == 0 => reject("--size must be >= 1"),
+        _ => {}
     }
     cfg.mode = parse_mode(&args);
     cfg.cost = parse_cost(&args);
@@ -540,10 +569,13 @@ fn run_serve(args: &Args, perfetto_path: Option<String>, blame: bool) {
     if let Some(w) = args.get("--warmup") {
         cfg.warmup = w;
     }
+    check_machine_size(cfg.p);
+    if cfg.backends == 0 {
+        reject("--backends must be >= 1");
+    }
     let rate: f64 = args.get("--rate").unwrap_or(500.0);
     if rate < 1.0 || rate.is_nan() {
-        eprintln!("hemprof: --rate must be >= 1 (mean inter-arrival gap in cycles)");
-        std::process::exit(2);
+        reject("--rate must be >= 1 (mean inter-arrival gap in cycles)");
     }
     let arrival = args
         .get::<String>("--arrival")
@@ -571,8 +603,7 @@ fn run_serve(args: &Args, perfetto_path: Option<String>, blame: bool) {
         cfg.threads = t;
     }
     if cfg.warmup >= cfg.horizon {
-        eprintln!("hemprof: --warmup must be below --until");
-        std::process::exit(2);
+        reject("--warmup must be below --until");
     }
 
     let drop: u16 = args.get("--drop").unwrap_or(0);

@@ -26,9 +26,8 @@ use hem_core::{ExecMode, Runtime, SchedImpl};
 use hem_machine::cost::CostModel;
 use hem_machine::topology::ProcGrid;
 
-const SCHEDS: [(&str, SchedImpl); 3] = [
+const SCHEDS: [(&str, SchedImpl); 2] = [
     ("event-index", SchedImpl::EventIndex),
-    ("linear-scan", SchedImpl::LinearScan),
     ("sharded-2", SchedImpl::Sharded { threads: 2 }),
 ];
 
@@ -133,7 +132,7 @@ fn main() {
         for &p in &procs {
             for (label, sched) in SCHEDS {
                 // The parallel executors only engage above one node.
-                if p == 1 && !matches!(sched, SchedImpl::EventIndex | SchedImpl::LinearScan) {
+                if p == 1 && sched != SchedImpl::EventIndex {
                     continue;
                 }
                 let row = measure(kernel, run, p, label, sched, reps);

@@ -114,6 +114,46 @@ fn unknown_flags_are_usage_errors() {
 }
 
 #[test]
+fn degenerate_sizes_are_usage_errors() {
+    // Each of these used to panic deep in the run (exit 101 with a
+    // backtrace); each must now be refused up front with one line naming
+    // the flag.
+    for (args, flag) in [
+        (&["sor", "--p", "0"][..], "--p"),
+        (&["sor", "--p", "3"][..], "--p"),
+        (&["md", "--p", "3"][..], "--p"),
+        (&["fib", "--p", "0"][..], "--p"),
+        (&["sor", "--size", "0"][..], "--size"),
+        (&["md", "--size", "0"][..], "--size"),
+        (&["em3d", "--p", "1048576"][..], "--p"),
+        (&["serve", "--p", "0"][..], "--p"),
+        (&["blame", "--p", "0"][..], "--p"),
+        (&["serve", "--backends", "0"][..], "--backends"),
+    ] {
+        let out = hemprof(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("hemprof: {flag} must ")) && stderr.lines().count() == 1,
+            "{args:?}: one-line message naming {flag}, got {stderr:?}"
+        );
+    }
+    // The degenerate-looking but valid neighbours still run.
+    for args in [
+        &["md", "--p", "3", "--layout", "random", "--size", "8"][..],
+        &["em3d", "--p", "3", "--size", "8"][..],
+        &["sor", "--p", "1", "--size", "4"][..],
+    ] {
+        let out = hemprof(args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
 fn profile_shard_map_is_observationally_invisible() {
     // `--shard-map profile` re-cuts the shard boundaries by pilot busy
     // time; the JSON report (makespan, traffic, every rollup cell) must

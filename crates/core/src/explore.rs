@@ -30,7 +30,7 @@
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum TieBreak {
     /// Canonical order: minimum `(kind, node)` among the tied set — the
-    /// same schedule the event index and the linear scan produce.
+    /// schedule the event index produces.
     #[default]
     Det,
     /// Uniform choice from the tied set, from a SplitMix64 stream over
@@ -38,7 +38,10 @@ pub enum TieBreak {
     Seeded(u64),
     /// Replay a recorded decision vector: the i-th *non-forced* decision
     /// (tie arity > 1) picks `v[i]` (clamped to the arity; exhausted
-    /// vectors pick 0, i.e. fall back to canonical order).
+    /// vectors pick 0, i.e. fall back to canonical order). `Replay(vec![])`
+    /// is therefore the canonical schedule selected by an O(P) re-scan of
+    /// every node per event: the executable specification the event
+    /// index and the sharded executor are diffed against.
     Replay(Vec<u32>),
 }
 

@@ -56,20 +56,18 @@ impl Ord for InboxEntry {
 
 /// Which dispatch-loop implementation `run_to_quiescence` uses.
 ///
-/// All implementations are bit-identical in observable behavior (selection
-/// order, costs, counters, traces); the event index is O(log P) per event
-/// where the scan is O(P), and the sharded executor spreads the event
-/// index across host threads. The linear scan is kept as the executable
-/// specification — the determinism tests diff full traces across the
-/// implementations, and the `sched_throughput` bench measures the gaps.
+/// Both implementations are bit-identical in observable behavior
+/// (selection order, costs, counters, traces): the sharded executor runs
+/// the event index inside each shard's virtual-time window. The
+/// executable specification they are checked against is the exploring
+/// loop under `TieBreak::Replay(vec![])` (see [`crate::explore`]), which
+/// re-scans every node per event and picks the canonical candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedImpl {
     /// Global `BinaryHeap` of `(time, kind, node)` candidates with lazy
     /// invalidation (the default).
     #[default]
     EventIndex,
-    /// Reference implementation: re-scan every node per dispatched event.
-    LinearScan,
     /// Host-parallel conservative-window executor: nodes are partitioned
     /// into `threads` shards, each advanced by its own OS thread inside
     /// lookahead-bounded virtual-time windows, with traces and stats
@@ -78,9 +76,9 @@ pub enum SchedImpl {
     ///
     /// One departure: the heap-diagnostic fields of
     /// `MachineStats.sched` (`heap_pushes`, `stale_pops`,
-    /// `max_heap_depth`) report 0, as under [`SchedImpl::LinearScan`] —
-    /// per-shard heap shapes depend on the thread count, so they cannot
-    /// be both meaningful and thread-count-invariant.
+    /// `max_heap_depth`) report 0 — per-shard heap shapes depend on the
+    /// thread count, so they cannot be both meaningful and
+    /// thread-count-invariant.
     Sharded {
         /// Worker thread count; `0` and `1` both mean "run the plain
         /// event index" (as does a cost model with zero wire latency,
@@ -415,7 +413,8 @@ pub struct Runtime {
 
 impl Runtime {
     /// Build a runtime: validates the program, runs the schema-selection
-    /// analysis under `interfaces`, and sets up `n_nodes` empty nodes.
+    /// analysis under `interfaces`, and sets up `n_nodes` empty nodes
+    /// (`1 ≤ n_nodes < 2^20`; other sizes are a validation error).
     pub fn new(
         program: Program,
         n_nodes: u32,
@@ -426,10 +425,13 @@ impl Runtime {
         program.validate()?;
         // Wire sequence numbers pack the sender id into their low 20 bits
         // (see `Node::wire_seq`).
-        assert!(
-            n_nodes < (1 << 20),
-            "node count {n_nodes} exceeds the 2^20 wire-sequence id space"
-        );
+        if n_nodes == 0 || n_nodes >= 1 << 20 {
+            return Err(vec![ValidationError {
+                method: None,
+                at: None,
+                what: format!("node count {n_nodes} outside 1..2^20 (the wire-sequence id space)"),
+            }]);
+        }
         for (i, m) in program.methods.iter().enumerate() {
             if m.slots > 64 {
                 return Err(vec![ValidationError {
@@ -873,7 +875,8 @@ impl Runtime {
 
     // ================= messaging =================
 
-    /// Push a candidate onto the event index (no-op under the linear scan).
+    /// Push a candidate onto the event index (no-op on a sharded
+    /// coordinator, whose shards keep their own).
     /// Suppressed when the node already has an entry at or below this key:
     /// that entry is a sufficient lower bound, and validation on pop
     /// recomputes the true candidate anyway.
@@ -2213,20 +2216,20 @@ impl Runtime {
         }
         match self.sched_impl {
             SchedImpl::EventIndex => self.run_event_index(horizon),
-            SchedImpl::LinearScan => self.run_linear_scan(horizon),
             SchedImpl::Sharded { threads } | SchedImpl::Speculative { threads } => {
                 self.run_sharded(threads, horizon)
             }
         }
     }
 
-    /// Exploring dispatch loop: like the linear scan, but where the
-    /// deterministic rule picks the minimum `(time, kind, node)`, this
-    /// loop collects *every* candidate tied at the minimum time — all of
-    /// them causally enabled now — and lets the [`TieBreak`] policy pick
-    /// which to dispatch, logging each non-forced decision. Choice 0 in
+    /// Exploring dispatch loop, O(P) per event: re-scan every node and
+    /// collect *every* candidate tied at the minimum time — all of them
+    /// causally enabled now — then let the [`TieBreak`] policy pick which
+    /// to dispatch, logging each non-forced decision. Choice 0 in
     /// canonical `(kind, node)` order is the deterministic selection, so
-    /// an empty replay vector reproduces the default schedule.
+    /// an empty replay vector reproduces the default schedule: under
+    /// `TieBreak::Replay(vec![])` this loop is the scan-based reference
+    /// the event index is checked against.
     fn run_explore(&mut self, horizon: Cycles) -> Result<(), Trap> {
         let mut cands: Vec<(Cycles, u8, u32)> = Vec::new();
         loop {
@@ -2278,7 +2281,7 @@ impl Runtime {
     }
 
     /// A node's current best candidate, under the same selection rule the
-    /// linear scan applies: an inbox head is actionable at
+    /// exploring scan applies: an inbox head is actionable at
     /// `max(node time, delivery time)` (kind 0); any ready context or lock
     /// grant at the node's current time (kind 1); the earliest pending
     /// retransmission timer at `max(node time, deadline)` (kind 2).
@@ -2322,6 +2325,12 @@ impl Runtime {
             // event's (time, kind, node) key for the deterministic merge.
             sh.cur = (t, kind, i as u32);
         }
+        // A retransmission timer inside a shard window is impossible: the
+        // window end never outruns `retx_base`.
+        debug_assert!(
+            kind != 2 || self.shard.is_none(),
+            "retransmission timer fired inside a window (lookahead bound violated)"
+        );
         self.poll_floor = t;
         self.san_step = (t, kind, i as u32);
         self.sched_stats.events_dispatched += 1;
@@ -2383,7 +2392,11 @@ impl Runtime {
     /// a candidate — so whenever a node is actionable the heap holds an
     /// entry at or below its true key, and the first entry that validates
     /// exactly equal to its node's recomputed candidate is the global
-    /// minimum: the same event the linear scan selects.
+    /// minimum: the same event the exploring scan selects.
+    ///
+    /// Entries are only required below `horizon`: a shard worker seeds
+    /// just the candidates inside its window and runs this loop with the
+    /// window end as the horizon.
     pub(crate) fn run_event_index(&mut self, horizon: Cycles) -> Result<(), Trap> {
         loop {
             // Heap entries are lower bounds on their nodes' true
@@ -2423,33 +2436,10 @@ impl Runtime {
             }
         }
         debug_assert!(
-            (0..self.nodes.len()).all(|i| self.node_candidate(i).is_none()),
-            "event index drained while work remains"
+            (0..self.nodes.len()).all(|i| self.node_candidate(i).is_none_or(|(t, _)| t >= horizon)),
+            "event index drained while work remains below the horizon"
         );
         Ok(())
-    }
-
-    /// Reference dispatch: re-scan every node per event, O(P) per event.
-    fn run_linear_scan(&mut self, horizon: Cycles) -> Result<(), Trap> {
-        loop {
-            // Select the earliest actionable (time, kind, node).
-            let mut best: Option<(Cycles, u8, usize)> = None;
-            for i in 0..self.nodes.len() {
-                if let Some((t, kind)) = self.node_candidate(i) {
-                    let cand = (t, kind, i);
-                    if best.is_none_or(|b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-            }
-            let Some((t, kind, i)) = best else {
-                return Ok(());
-            };
-            if t >= horizon {
-                return Ok(());
-            }
-            self.dispatch_event(t, kind, i)?;
-        }
     }
 
     fn handle_msg(&mut self, node: usize, msg: Msg) -> Result<(), Trap> {
@@ -2641,6 +2631,26 @@ mod tests {
         assert!(rt.is_quiescent());
         assert_eq!(rt.live_contexts(), 0);
         assert_eq!(rt.makespan(), 0);
+    }
+
+    #[test]
+    fn machine_size_outside_the_wire_id_space_is_rejected() {
+        for n_nodes in [0, 1 << 20, u32::MAX] {
+            let mut pb = hem_ir::ProgramBuilder::new();
+            let c = pb.class("C", false);
+            pb.method(c, "id", 0, |mb| mb.reply_nil());
+            let err = Runtime::new(
+                pb.finish(),
+                n_nodes,
+                CostModel::unit(),
+                ExecMode::Hybrid,
+                InterfaceSet::Full,
+            )
+            .err()
+            .unwrap_or_else(|| panic!("{n_nodes} nodes should be rejected"));
+            assert!(err[0].what.contains("node count"), "{:?}", err[0].what);
+        }
+        assert_eq!(tiny_runtime(1).n_nodes(), 1);
     }
 
     #[test]

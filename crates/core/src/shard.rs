@@ -2,9 +2,11 @@
 //!
 //! [`SchedImpl::Sharded`] partitions the simulated nodes into contiguous
 //! shards, one OS worker thread per shard, and advances each shard with
-//! its own `(time, kind, node)` event index inside **conservative
-//! virtual-time windows** — the classical conservative-PDES discipline,
-//! specialized to this machine's structure:
+//! its own `(time, kind, node)` event index — the serial dispatch loop,
+//! run with the window end as its horizon — inside **conservative
+//! virtual-time windows**: the classical conservative-PDES discipline,
+//! specialized to this machine's structure. Serial execution is the
+//! one-shard case of the same loop.
 //!
 //! - **Lookahead** `L` is the minimum latency any packet can spend on the
 //!   wire: `CostModel::min_wire_latency()`, capped by the retransmission
@@ -76,7 +78,7 @@
 //! The result: traces, makespan, `MachineStats`, and observer rollups
 //! are bit-identical between `threads = 1` and any other thread count —
 //! with the single documented exception of the scheduler heap
-//! diagnostics, which read 0 under `Sharded` (as under `LinearScan`).
+//! diagnostics, which read 0 under `Sharded`.
 //!
 //! **Traps.** If any shard traps, the coordinator keeps the trap with
 //! the minimum event key (windows are thread-count-invariant, so this is
@@ -176,46 +178,6 @@ fn spin_tiers(threads: usize) -> SpinTiers {
         spin,
         yields: YIELDS,
     }
-}
-
-/// One shard's in-window dispatch loop: the event index restricted to
-/// candidates with key strictly below `end`. Mirrors
-/// `Runtime::run_event_index` (pop, lazy re-validation, dispatch,
-/// re-arm), except that candidates at or past the window edge are left
-/// for the next window's reseeding instead of being re-keyed.
-fn run_window(rt: &mut Runtime, end: Cycles) -> Result<(), Trap> {
-    while rt.sched.peek().is_some_and(|e| e.time < end) {
-        let e = rt.sched.pop().expect("peeked entry");
-        let i = e.node as usize;
-        if rt.nodes[i].sched_noted == Some((e.time, e.kind)) {
-            rt.nodes[i].sched_noted = None;
-        }
-        let Some((t, kind)) = rt.node_candidate(i) else {
-            continue;
-        };
-        if (t, kind) != (e.time, e.kind) {
-            if t < end {
-                rt.sched_note(t, kind, i);
-            }
-            continue;
-        }
-        if t >= end {
-            continue;
-        }
-        // A retransmission timer inside a window is impossible: `end`
-        // never outruns `retx_base`.
-        debug_assert!(
-            kind != 2,
-            "retransmission timer fired inside a window (lookahead bound violated)"
-        );
-        rt.dispatch_event(t, kind, i)?;
-        if let Some((t, kind)) = rt.node_candidate(i) {
-            if t < end {
-                rt.sched_note(t, kind, i);
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Contiguous node→shard partition. With `weights == None`, shard `s`
@@ -342,8 +304,9 @@ fn publish_minima(cell: &mut WorkerCell) {
 }
 
 /// Run one window on a shard cell: reseed the index from owned
-/// candidates below `end`, dispatch, then publish the post-window minima
-/// and any trap. Shared verbatim by the pinned workers and the inline
+/// candidates below `end`, dispatch them with the serial event-index loop
+/// (`end` is its horizon), then publish the post-window minima and any
+/// trap. Shared verbatim by the pinned workers and the inline
 /// shard 0.
 fn run_shard_window(cell: &mut WorkerCell, end: Cycles) {
     let rt = &mut cell.rt;
@@ -357,7 +320,7 @@ fn run_shard_window(cell: &mut WorkerCell, end: Cycles) {
             }
         }
     }
-    let r = run_window(rt, end);
+    let r = rt.run_event_index(end);
     cell.trap = r
         .err()
         .map(|trap| (rt.shard.as_ref().expect("shard ctx").cur, trap));

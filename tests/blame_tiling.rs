@@ -11,43 +11,25 @@
 //!   decomposition or the tag plumbing.
 //! * **Bit-identity** — the blame summary JSON and the series summary
 //!   JSON are pure functions of the (executor-invariant) record stream,
-//!   so they must be byte-identical across the event-index, linear-scan,
+//!   so they must be byte-identical across the event-index, scan-reference,
 //!   and sharded executors at threads {1, 2, 4}.
 //!
 //! A property test drives the same invariants over generated
 //! `(seed, drop, dup, jitter)` fault plans.
 
+mod common;
+
+use common::{seeds_or, Cfg, Exec, EVENT_INDEX, EXECUTORS, THREADS};
 use hem::apps::service::{self, ServeParams};
-use hem::core::{Runtime, SchedImpl};
+use hem::core::Runtime;
 use hem::machine::arrival::ArrivalDist;
 use hem::machine::fault::FaultPlan;
 use hem::obs::{Blame, BlameSummary, Fanout, RequestBlame, Series, SeriesSummary};
 use hem::{CostModel, ExecMode, InterfaceSet};
 use proptest::prelude::*;
 
-const THREADS: [usize; 2] = [2, 4];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("HYBRID_TEST_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("HYBRID_TEST_SEED must be an unsigned integer")],
-        Err(_) => vec![7, 0xC0FFEE],
-    }
-}
-
-/// Every executor the runtime offers, with the thread counts under test.
-fn executors() -> Vec<(String, SchedImpl)> {
-    let mut v = vec![
-        ("event-index".into(), SchedImpl::EventIndex),
-        ("linear-scan".into(), SchedImpl::LinearScan),
-    ];
-    for t in THREADS {
-        v.push((format!("sharded-{t}"), SchedImpl::Sharded { threads: t }));
-    }
-    v
-}
+/// Built-in seeds when `HYBRID_TEST_SEED` is unset.
+const SEEDS: [u64; 2] = [7, 0xC0FFEE];
 
 struct Observed {
     finished: Vec<RequestBlame>,
@@ -57,7 +39,7 @@ struct Observed {
 
 /// Run the service mix at P=8 with a blame tracker and a series
 /// collector teed behind the rollup, streaming — no drained trace.
-fn run_observed(seed: u64, sched: SchedImpl, plan: Option<&FaultPlan>) -> Observed {
+fn run_observed(seed: u64, exec: Exec, plan: Option<&FaultPlan>) -> Observed {
     let ids = service::build();
     let mut rt = Runtime::new(
         ids.program.clone(),
@@ -67,11 +49,12 @@ fn run_observed(seed: u64, sched: SchedImpl, plan: Option<&FaultPlan>) -> Observ
         InterfaceSet::Full,
     )
     .unwrap();
-    rt.sched_impl = sched;
-    rt.enable_trace();
-    if let Some(p) = plan {
-        rt.set_fault_plan(p.clone());
+    Cfg {
+        exec,
+        plan,
+        ..Cfg::default()
     }
+    .arm(&mut rt);
     rt.attach_observer(Box::new(
         Fanout::new()
             .with(Box::new(Blame::new()))
@@ -133,15 +116,15 @@ fn fault_plan(seed: u64) -> FaultPlan {
 
 #[test]
 fn blame_segments_tile_the_sojourn_on_every_executor() {
-    for seed in seeds() {
+    for seed in seeds_or(&SEEDS) {
         let plans = [None, Some(fault_plan(seed))];
         for plan in &plans {
-            for (name, sched) in executors() {
+            for exec in EXECUTORS {
                 let label = format!(
-                    "seed{seed}/{name}{}",
+                    "seed{seed}/{exec}{}",
                     if plan.is_some() { "/faults" } else { "" }
                 );
-                let obs = run_observed(seed, sched, plan.as_ref());
+                let obs = run_observed(seed, exec, plan.as_ref());
                 assert_tiling(&label, &obs);
             }
         }
@@ -150,19 +133,19 @@ fn blame_segments_tile_the_sojourn_on_every_executor() {
 
 #[test]
 fn blame_and_series_json_bit_identical_across_executors() {
-    for seed in seeds() {
+    for seed in seeds_or(&SEEDS) {
         let plans = [None, Some(fault_plan(seed))];
         for plan in &plans {
-            let base = run_observed(seed, SchedImpl::EventIndex, plan.as_ref());
+            let base = run_observed(seed, EVENT_INDEX, plan.as_ref());
             let (bj, sj) = (base.blame.json(), base.series.json());
             assert!(base.blame.completed > 0, "seed{seed}: empty blame summary");
             assert!(!base.series.buckets.is_empty(), "seed{seed}: empty series");
-            for (name, sched) in executors() {
+            for exec in EXECUTORS {
                 let label = format!(
-                    "seed{seed}/{name}{}",
+                    "seed{seed}/{exec}{}",
                     if plan.is_some() { "/faults" } else { "" }
                 );
-                let other = run_observed(seed, sched, plan.as_ref());
+                let other = run_observed(seed, exec, plan.as_ref());
                 assert_eq!(bj, other.blame.json(), "{label}: blame JSON");
                 assert_eq!(sj, other.series.json(), "{label}: series JSON");
             }
@@ -177,7 +160,7 @@ fn retransmit_penalty_appears_under_heavy_drops() {
     // tag plumbing through the reliable transport's retransmit path.
     let mut plan = FaultPlan::seeded(9);
     plan.drop_permille = 120;
-    let obs = run_observed(9, SchedImpl::EventIndex, Some(&plan));
+    let obs = run_observed(9, EVENT_INDEX, Some(&plan));
     assert_tiling("heavy-drops", &obs);
     assert!(
         obs.blame.totals[4] > 0,
@@ -203,7 +186,7 @@ proptest! {
         plan.drop_permille = drop;
         plan.dup_permille = dup;
         plan.jitter_max = jitter;
-        let obs = run_observed(seed, SchedImpl::Sharded { threads }, Some(&plan));
+        let obs = run_observed(seed, Exec::sharded(threads), Some(&plan));
         assert_tiling(&format!("prop/seed{seed}"), &obs);
     }
 }

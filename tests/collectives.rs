@@ -10,7 +10,7 @@
 //!
 //! * **Executor matrix** — the collectives-heavy kernels (sync's full
 //!   cast/reduce/barrier mix, EM3D, SOR) run bit-identically on the
-//!   linear scan and the sharded executor at 2 and 4 threads, against
+//!   scan reference and the sharded executor at 2 and 4 threads, against
 //!   the event-index baseline, over three pinned seeds, with and without
 //!   a seeded fault plan.
 //! * **Degenerate groups** — empty groups, size-1 groups, groups covering
@@ -23,174 +23,36 @@
 //!   wrong schedule bit-identically — so only this direct check catches
 //!   the seeded `collective-skips-hop-cost` mutant.
 //!
-//! Seeds come from `HYBRID_TEST_SEED` when set (the CI collectives job
-//! pins them), else a built-in trio.
+//! Seeds come from `HYBRID_TEST_SEED` when set (the seeded CI job pins
+//! them), else a built-in trio.
 
+mod common;
+
+use common::{assert_bit_identical, run_kernel, seeds, Cfg, Exec, Outcome, EVENT_INDEX, EXECUTORS};
 use hem::analysis::InterfaceSet;
-use hem::apps::{em3d, sor, sync};
-use hem::core::trace::{MsgCause, TraceEvent, TraceRecord};
-use hem::core::{ExecMode, Runtime, SchedImpl};
+use hem::apps::sync;
+use hem::core::trace::{MsgCause, TraceEvent};
+use hem::core::{ExecMode, Runtime};
 use hem::ir::Value;
 use hem::machine::cost::CostModel;
 use hem::machine::fault::FaultPlan;
-use hem::machine::stats::MachineStats;
-use hem::machine::topology::ProcGrid;
 use hem::machine::NodeId;
-use hem::obs::{Report, Rollup};
 
-/// Everything observable about one run, including the rendered rollup
-/// report fed by an *online* observer (not the trace buffer).
-struct Outcome {
-    makespan: u64,
-    stats: MachineStats,
-    trace: Vec<TraceRecord>,
-    report: String,
-    results: Vec<Option<Value>>,
-}
-
-/// Every non-baseline executor the matrix diffs against
-/// `SchedImpl::EventIndex`.
-fn executors() -> Vec<(&'static str, SchedImpl)> {
-    vec![
-        ("linear-scan", SchedImpl::LinearScan),
-        ("sharded-2", SchedImpl::Sharded { threads: 2 }),
-        ("sharded-4", SchedImpl::Sharded { threads: 4 }),
-    ]
-}
-
-/// Seeds: `HYBRID_TEST_SEED` (one seed) when set, else a pinned trio,
-/// matching the fault-matrix harness.
-fn seeds() -> Vec<u64> {
-    match std::env::var("HYBRID_TEST_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("HYBRID_TEST_SEED must be an unsigned integer")],
-        Err(_) => vec![1, 0xDEAD_BEEF, 3_141_592_653],
-    }
-}
-
-fn arm(rt: &mut Runtime, sched: SchedImpl, plan: Option<&FaultPlan>) {
-    rt.sched_impl = sched;
-    rt.enable_trace();
-    rt.attach_observer(Box::new(Rollup::new()));
-    if let Some(p) = plan {
-        rt.set_fault_plan(p.clone());
-    }
-}
-
-fn finish(kernel: &str, mut rt: Runtime, results: Vec<Option<Value>>) -> Outcome {
-    let stats = rt.stats();
-    let any: Box<dyn std::any::Any> = rt.take_observer().expect("rollup attached");
-    let rollup = any.downcast::<Rollup>().expect("a Rollup");
-    let report = Report::new(kernel, &rollup, &stats, rt.program(), rt.schemas()).text();
-    Outcome {
-        makespan: rt.makespan(),
-        stats,
-        trace: rt.take_trace(),
-        report,
-        results,
-    }
-}
-
-/// Run one collectives-exercising kernel at P=16. `seed` drives graph
-/// generation (EM3D) and the fault plan.
-fn run_kernel(kernel: &str, seed: u64, sched: SchedImpl, plan: Option<&FaultPlan>) -> Outcome {
-    match kernel {
-        "sor" => {
-            let ids = sor::build();
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::cm5(),
-                ExecMode::Hybrid,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            arm(&mut rt, sched, plan);
-            let inst = sor::setup(
-                &mut rt,
-                &ids,
-                sor::SorParams {
-                    n: 12,
-                    block: 2,
-                    procs: ProcGrid::square(16),
-                },
-            );
-            sor::run(&mut rt, &inst, 1).unwrap();
-            finish(kernel, rt, Vec::new())
-        }
-        "em3d" => {
-            let ids = em3d::build(4);
-            let g = em3d::generate(30, 4, 16, 0.4, seed);
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::t3d(),
-                ExecMode::Hybrid,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            arm(&mut rt, sched, plan);
-            let inst = em3d::setup(&mut rt, &ids, &g);
-            em3d::run(&mut rt, &inst, em3d::Style::Pull, 1).unwrap();
-            finish(kernel, rt, Vec::new())
-        }
-        "sync" => {
-            // The full structure mix: acked multicast, fire-and-forget
-            // multicast, modeled reduce, modeled barrier.
-            let ids = sync::build();
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::cm5(),
-                ExecMode::Hybrid,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            arm(&mut rt, sched, plan);
-            let inst = sync::setup(&mut rt, &ids, 16);
-            let results = vec![
-                rt.call(inst.drivers[0], ids.fan, &[]).unwrap(),
-                rt.call(inst.drivers[0], ids.scatter, &[]).unwrap(),
-                rt.call(inst.drivers[1], ids.sum_all, &[]).unwrap(),
-                rt.call(inst.drivers[2], ids.quiesce, &[]).unwrap(),
-            ];
-            finish(kernel, rt, results)
-        }
-        other => panic!("unknown kernel {other}"),
-    }
+/// Run one collectives-exercising kernel at P=16 on the small instances,
+/// with the rollup observer on. `seed` drives graph generation (EM3D).
+fn run(kernel: &str, seed: u64, exec: Exec, plan: Option<&FaultPlan>) -> Outcome {
+    let cfg = Cfg {
+        exec,
+        gen_seed: Some(seed),
+        plan,
+        rollup: true,
+        small: true,
+        ..Cfg::default()
+    };
+    run_kernel(kernel, &cfg)
 }
 
 const KERNELS: [&str; 3] = ["sync", "em3d", "sor"];
-
-fn assert_bit_identical(label: &str, base: &Outcome, other: &Outcome) {
-    assert_eq!(base.results, other.results, "{label}: call results");
-    assert_eq!(base.makespan, other.makespan, "{label}: makespan");
-    assert_eq!(
-        base.stats.node_time, other.stats.node_time,
-        "{label}: per-node clocks"
-    );
-    assert_eq!(
-        base.stats.per_node, other.stats.per_node,
-        "{label}: per-node counters"
-    );
-    assert_eq!(base.stats.net, other.stats.net, "{label}: net/fault stats");
-    if let Some(i) =
-        (0..base.trace.len().min(other.trace.len())).find(|&i| base.trace[i] != other.trace[i])
-    {
-        panic!(
-            "{label}: traces diverge at record {i}:\n  baseline: {:?}\n  other:    {:?}",
-            base.trace[i], other.trace[i]
-        );
-    }
-    assert_eq!(base.trace.len(), other.trace.len(), "{label}: trace length");
-    assert_eq!(
-        base.stats.sched.events_dispatched, other.stats.sched.events_dispatched,
-        "{label}: events dispatched"
-    );
-    assert_eq!(base.report, other.report, "{label}: rollup report text");
-}
 
 /// Sanity floor for the matrix: every kernel actually issues collectives
 /// (otherwise the suite silently stops testing them).
@@ -209,11 +71,11 @@ fn assert_uses_collectives(label: &str, out: &Outcome) {
 fn collectives_bit_identical_across_executors() {
     for kernel in KERNELS {
         for seed in seeds() {
-            let base = run_kernel(kernel, seed, SchedImpl::EventIndex, None);
+            let base = run(kernel, seed, EVENT_INDEX, None);
             assert_uses_collectives(&format!("{kernel}/seed{seed}"), &base);
-            for (name, sched) in executors() {
-                let other = run_kernel(kernel, seed, sched, None);
-                assert_bit_identical(&format!("{kernel}/seed{seed}/{name}"), &base, &other);
+            for exec in &EXECUTORS[1..] {
+                let other = run(kernel, seed, *exec, None);
+                assert_bit_identical(&format!("{kernel}/seed{seed}/{exec}"), &base, &other);
             }
         }
     }
@@ -231,19 +93,19 @@ fn collectives_bit_identical_under_faults() {
             plan.drop_permille = 20;
             plan.dup_permille = 20;
             plan.jitter_max = 80;
-            let base = run_kernel(kernel, seed, SchedImpl::EventIndex, Some(&plan));
+            let base = run(kernel, seed, EVENT_INDEX, Some(&plan));
             assert_uses_collectives(&format!("{kernel}/seed{seed}/faulty"), &base);
-            for (name, sched) in executors() {
-                let other = run_kernel(kernel, seed, sched, Some(&plan));
-                assert_bit_identical(&format!("{kernel}/seed{seed}/faulty/{name}"), &base, &other);
+            for exec in &EXECUTORS[1..] {
+                let other = run(kernel, seed, *exec, Some(&plan));
+                assert_bit_identical(&format!("{kernel}/seed{seed}/faulty/{exec}"), &base, &other);
             }
         }
     }
 }
 
-/// Run the sync structures over a `n_cells`-member group at P=4 and
-/// return (outcome, reduce result, barrier result).
-fn run_degenerate(n_cells: u32, sched: SchedImpl) -> Outcome {
+/// Run the sync structures over a `n_cells`-member group at P=4; the
+/// outcome carries the fan / sum_all / quiesce results.
+fn run_degenerate(n_cells: u32, exec: Exec) -> Outcome {
     let ids = sync::build();
     let mut rt = Runtime::new(
         ids.program.clone(),
@@ -253,7 +115,12 @@ fn run_degenerate(n_cells: u32, sched: SchedImpl) -> Outcome {
         InterfaceSet::Full,
     )
     .unwrap();
-    arm(&mut rt, sched, None);
+    let cfg = Cfg {
+        exec,
+        rollup: true,
+        ..Cfg::default()
+    };
+    cfg.arm(&mut rt);
     let inst = sync::setup(&mut rt, &ids, n_cells);
     // Drivers live on every node; cells fill nodes round-robin from node
     // 0 — so driver 0's collectives include a self-leg (root == member
@@ -263,7 +130,7 @@ fn run_degenerate(n_cells: u32, sched: SchedImpl) -> Outcome {
         rt.call(inst.drivers[0], ids.sum_all, &[]).unwrap(),
         rt.call(inst.drivers[0], ids.quiesce, &[]).unwrap(),
     ];
-    finish("sync-degenerate", rt, results)
+    Outcome::capture(&mut rt, "sync-degenerate", results)
 }
 
 /// Degenerate group shapes: empty, singleton, and a group spanning every
@@ -280,7 +147,7 @@ fn degenerate_groups_resolve_and_stay_identical() {
         (4, Value::Int(4)), // one cell per node: group size == P
     ];
     for (n_cells, want_sum) in cases {
-        let base = run_degenerate(n_cells, SchedImpl::EventIndex);
+        let base = run_degenerate(n_cells, EVENT_INDEX);
         assert_eq!(
             base.results,
             vec![Some(Value::Nil), Some(want_sum), Some(Value::Nil)],
@@ -297,9 +164,9 @@ fn degenerate_groups_resolve_and_stay_identical() {
             "degenerate/{n_cells}: reduce+barrier up legs mirror down legs \
              (fan is acked, so every kind pairs its legs)"
         );
-        for (name, sched) in executors() {
-            let other = run_degenerate(n_cells, sched);
-            assert_bit_identical(&format!("degenerate/{n_cells}/{name}"), &base, &other);
+        for exec in &EXECUTORS[1..] {
+            let other = run_degenerate(n_cells, *exec);
+            assert_bit_identical(&format!("degenerate/{n_cells}/{exec}"), &base, &other);
         }
     }
 }

@@ -1,58 +1,44 @@
-//! Shared helpers for the schedule-exploration conformance harness: micro
-//! kernels built for specific protocol invariants, reduced-size app-kernel
-//! runners with the sanitizer armed, and the state-comparison assertions
-//! (mirroring the fault-matrix conventions).
+//! Shared harness for the integration suites.
+//!
+//! Every executor-crossing suite takes its executor axis ([`EXECUTORS`]),
+//! its seeds ([`seeds`]), its run set-up ([`Cfg::arm`]), and its outcome
+//! comparison ([`Outcome`], [`assert_bit_identical`]) from here, plus the
+//! P=16 app-kernel instances they share ([`run_kernel`]). The
+//! schedule-exploration half holds micro kernels built for specific
+//! protocol invariants and reduced-size app-kernel runners with the
+//! sanitizer armed.
 
 #![allow(dead_code)] // each integration test uses a subset
 
 use hem::analysis::InterfaceSet;
 use hem::apps::{em3d, md, sor, sync};
+use hem::core::trace::TraceRecord;
 use hem::core::{ExecMode, NodeObjectState, Runtime, SchedImpl, TieBreak, TieChoice};
 use hem::ir::{BinOp, LocalityHint, MethodId, Program, ProgramBuilder, Value};
 use hem::machine::cost::CostModel;
+use hem::machine::fault::FaultPlan;
 use hem::machine::stats::MachineStats;
 use hem::machine::topology::ProcGrid;
+use hem::obs::{Report, Rollup};
 use hem::NodeId;
 
-/// The four application kernels, at conformance (reduced) sizes.
-pub const APP_KERNELS: [&str; 4] = ["sor", "em3d", "md", "sync"];
+/// The four application kernels.
+pub const KERNELS: [&str; 4] = ["sor", "em3d", "md", "sync"];
 
-/// Everything the conformance assertions look at from one run.
-pub struct Outcome {
-    /// Root-call reply (micro kernels; `None` where the kernel drives
-    /// itself through multiple calls).
-    pub result: Option<Value>,
-    /// Final per-node object state.
-    pub objects: Vec<NodeObjectState>,
-    /// The tie-break decisions the run took (replay vector).
-    pub tie_choices: Vec<u32>,
-    /// The full decision log (choice + arity), for the explorer's DFS.
-    pub tie_log: Vec<TieChoice>,
-    /// Sanitizer violations (empty on a clean run).
-    pub violations: Vec<String>,
-    /// Final virtual time.
-    pub makespan: u64,
-    /// Machine counters.
-    pub stats: MachineStats,
-}
-
-/// How to replay a failing schedule, for panic messages.
-pub fn replay_help(kernel: &str, choices: &[u32]) -> String {
-    format!(
-        "kernel {kernel}: failing tie-break sequence {choices:?} — replay with \
-         rt.set_tie_break(TieBreak::Replay(vec!{choices:?}))"
-    )
-}
-
-/// Seeds: `HYBRID_TEST_SEED` (one seed) when set — the CI conformance job
-/// pins three — else a built-in trio, matching the fault-matrix harness.
+/// Seeds: `HYBRID_TEST_SEED` (one seed) when set — the seeded CI job
+/// pins three — else a built-in trio.
 pub fn seeds() -> Vec<u64> {
+    seeds_or(&[1, 0xDEAD_BEEF, 3_141_592_653])
+}
+
+/// [`seeds`] with a suite-specific built-in set.
+pub fn seeds_or(default: &[u64]) -> Vec<u64> {
     match std::env::var("HYBRID_TEST_SEED") {
         Ok(s) => vec![s
             .trim()
             .parse()
             .expect("HYBRID_TEST_SEED must be an unsigned integer")],
-        Err(_) => vec![1, 0xDEAD_BEEF, 3_141_592_653],
+        Err(_) => default.to_vec(),
     }
 }
 
@@ -66,7 +52,331 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-// ================= comparison =================
+// ================= executor axis =================
+
+/// One point on the executor axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exec {
+    /// The scan reference: the exploring loop under
+    /// `TieBreak::Replay(vec![])`, which re-scans every node per event
+    /// and dispatches the canonical `(time, kind, node)` minimum — the
+    /// executable specification of the dispatch order.
+    Scan,
+    /// A production executor.
+    Sched(SchedImpl),
+}
+
+/// The single-threaded event index, the baseline every other executor
+/// is diffed against.
+pub const EVENT_INDEX: Exec = Exec::Sched(SchedImpl::EventIndex);
+
+/// Thread counts of the sharded points on the axis.
+pub const THREADS: [usize; 2] = [2, 4];
+
+/// The executor axis: the event-index baseline first, then the scan
+/// reference and the sharded executor at each of [`THREADS`].
+pub const EXECUTORS: [Exec; 4] = [
+    EVENT_INDEX,
+    Exec::Scan,
+    Exec::Sched(SchedImpl::Sharded { threads: 2 }),
+    Exec::Sched(SchedImpl::Sharded { threads: 4 }),
+];
+
+impl Exec {
+    /// The sharded executor at `threads`.
+    pub fn sharded(threads: usize) -> Exec {
+        Exec::Sched(SchedImpl::Sharded { threads })
+    }
+}
+
+impl std::fmt::Display for Exec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Exec::Scan => write!(f, "scan"),
+            Exec::Sched(SchedImpl::EventIndex) => write!(f, "event-index"),
+            Exec::Sched(SchedImpl::Sharded { threads }) => write!(f, "sharded-{threads}"),
+            Exec::Sched(SchedImpl::Speculative { threads }) => {
+                write!(f, "speculative-{threads}")
+            }
+        }
+    }
+}
+
+// ================= run set-up =================
+
+/// The machine an app kernel runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Machine {
+    /// 16 nodes, the kernel's native cost model.
+    Native,
+    /// 16 nodes, `CostModel::unit()`: zero wire latency, so no lookahead.
+    ZeroLookahead,
+    /// One node: nothing to shard.
+    SingleNode,
+}
+
+pub const MACHINES: [Machine; 3] = [Machine::Native, Machine::ZeroLookahead, Machine::SingleNode];
+
+/// How one run is configured. Tracing is always on.
+#[derive(Debug, Clone, Copy)]
+pub struct Cfg<'a> {
+    pub exec: Exec,
+    pub mode: ExecMode,
+    pub machine: Machine,
+    /// EM3D graph / MD layout generation seed; `None` pins the instance
+    /// (EM3D seed 3, MD seed 5).
+    pub gen_seed: Option<u64>,
+    /// Fault plan to install (engages the reliable transport).
+    pub plan: Option<&'a FaultPlan>,
+    /// Engage the reliable transport even without a plan.
+    pub transport: bool,
+    /// Attach an online `Rollup` observer; [`Outcome::report`] holds its
+    /// rendered text.
+    pub rollup: bool,
+    /// Smaller SOR and EM3D instances run for one iteration.
+    pub small: bool,
+}
+
+impl Default for Cfg<'_> {
+    fn default() -> Self {
+        Cfg {
+            exec: EVENT_INDEX,
+            mode: ExecMode::Hybrid,
+            machine: Machine::Native,
+            gen_seed: None,
+            plan: None,
+            transport: false,
+            rollup: false,
+            small: false,
+        }
+    }
+}
+
+impl Cfg<'_> {
+    /// Apply the configuration to a fresh runtime: executor, tracing,
+    /// observer, fault plan / transport.
+    pub fn arm(&self, rt: &mut Runtime) {
+        match self.exec {
+            Exec::Scan => rt.set_tie_break(TieBreak::Replay(Vec::new())),
+            Exec::Sched(s) => rt.sched_impl = s,
+        }
+        rt.enable_trace();
+        if self.rollup {
+            rt.attach_observer(Box::new(Rollup::new()));
+        }
+        match self.plan {
+            Some(p) => rt.set_fault_plan(p.clone()),
+            None if self.transport => rt.enable_reliable_transport(),
+            None => {}
+        }
+    }
+}
+
+// ================= outcome =================
+
+/// Everything observable about one run.
+pub struct Outcome {
+    /// Root-call replies in call order (empty where a kernel driver makes
+    /// the calls itself).
+    pub results: Vec<Option<Value>>,
+    /// Final per-node object state.
+    pub objects: Vec<NodeObjectState>,
+    /// The tie-break decisions the run took (replay vector).
+    pub tie_choices: Vec<u32>,
+    /// The full decision log (choice + arity), for the explorer's DFS.
+    pub tie_log: Vec<TieChoice>,
+    /// Sanitizer violations (empty on a clean run).
+    pub violations: Vec<String>,
+    /// Final virtual time.
+    pub makespan: u64,
+    /// Machine counters.
+    pub stats: MachineStats,
+    /// The buffered trace (empty when tracing was off).
+    pub trace: Vec<TraceRecord>,
+    /// Rendered report of an attached online `Rollup` (empty without
+    /// one).
+    pub report: String,
+}
+
+impl Outcome {
+    /// Capture a finished run. An attached `Rollup` observer is detached
+    /// and rendered under `title`; the sanitizer, if armed, runs its
+    /// end-of-program check first.
+    pub fn capture(rt: &mut Runtime, title: &str, results: Vec<Option<Value>>) -> Outcome {
+        rt.sanitizer_check_quiescent();
+        let stats = rt.stats();
+        let report = rt.take_observer().map_or_else(String::new, |obs| {
+            let any: Box<dyn std::any::Any> = obs;
+            let rollup = any.downcast::<Rollup>().expect("a Rollup observer");
+            Report::new(title, &rollup, &stats, rt.program(), rt.schemas()).text()
+        });
+        Outcome {
+            results,
+            objects: rt.object_state(),
+            tie_choices: rt.tie_choices(),
+            tie_log: rt.tie_log().to_vec(),
+            violations: rt.take_sanitizer_violations(),
+            makespan: rt.makespan(),
+            stats,
+            trace: rt.take_trace(),
+            report,
+        }
+    }
+
+    /// The last root-call reply.
+    pub fn result(&self) -> Option<Value> {
+        self.results.last().cloned().flatten()
+    }
+}
+
+/// Assert `other` reproduces `base` bit for bit: call results, makespan,
+/// per-node clocks and counters, net/fault stats, the full trace (first
+/// divergence reported), events dispatched, the rollup report text, and
+/// the final object state. The heap diagnostics (`heap_pushes`,
+/// `stale_pops`, `max_heap_depth`) are implementation details of each
+/// executor and are not compared.
+pub fn assert_bit_identical(label: &str, base: &Outcome, other: &Outcome) {
+    assert_eq!(base.results, other.results, "{label}: call results");
+    assert_eq!(base.makespan, other.makespan, "{label}: makespan");
+    assert_eq!(
+        base.stats.node_time, other.stats.node_time,
+        "{label}: per-node clocks"
+    );
+    assert_eq!(
+        base.stats.per_node, other.stats.per_node,
+        "{label}: per-node counters"
+    );
+    assert_eq!(base.stats.net, other.stats.net, "{label}: net/fault stats");
+    if let Some(i) =
+        (0..base.trace.len().min(other.trace.len())).find(|&i| base.trace[i] != other.trace[i])
+    {
+        panic!(
+            "{label}: traces diverge at record {i}:\n  base:  {:?}\n  other: {:?}",
+            base.trace[i], other.trace[i]
+        );
+    }
+    assert_eq!(base.trace.len(), other.trace.len(), "{label}: trace length");
+    assert_eq!(
+        base.stats.sched.events_dispatched, other.stats.sched.events_dispatched,
+        "{label}: events dispatched"
+    );
+    assert_eq!(base.report, other.report, "{label}: rollup report text");
+    assert_eq!(base.objects, other.objects, "{label}: object state");
+}
+
+// ================= app kernels at P=16 =================
+
+/// Run an app kernel on `cfg.machine` (16 nodes, or one) to quiescence
+/// and capture it. The sync kernel makes the full structure mix of root
+/// calls — acked multicast (fan), fire-and-forget multicast (scatter),
+/// modeled reduce and barrier, then the continuation-stored rendezvous —
+/// so every collective leg kind meets every fault fate.
+pub fn run_kernel(kernel: &str, cfg: &Cfg) -> Outcome {
+    let p = match cfg.machine {
+        Machine::SingleNode => 1,
+        _ => 16,
+    };
+    let cost = |native: CostModel| match cfg.machine {
+        Machine::ZeroLookahead => CostModel::unit(),
+        _ => native,
+    };
+    let new_rt = |program: &Program, native: CostModel| {
+        let mut rt = Runtime::new(
+            program.clone(),
+            p,
+            cost(native),
+            cfg.mode,
+            InterfaceSet::Full,
+        )
+        .unwrap();
+        cfg.arm(&mut rt);
+        rt
+    };
+    let (sor_n, em3d_n, iters) = if cfg.small { (12, 30, 1) } else { (20, 40, 2) };
+    let mut results = Vec::new();
+    let mut rt = match kernel {
+        "sor" => {
+            let ids = sor::build();
+            let mut rt = new_rt(&ids.program, CostModel::cm5());
+            let params = sor::SorParams {
+                n: sor_n,
+                block: 2,
+                procs: ProcGrid::square(p),
+            };
+            let inst = sor::setup(&mut rt, &ids, params);
+            sor::run(&mut rt, &inst, iters).unwrap();
+            rt
+        }
+        "em3d" => {
+            let ids = em3d::build(4);
+            let g = em3d::generate(em3d_n, 4, p, 0.4, cfg.gen_seed.unwrap_or(3));
+            let mut rt = new_rt(&ids.program, CostModel::t3d());
+            let inst = em3d::setup(&mut rt, &ids, &g);
+            em3d::run(&mut rt, &inst, em3d::Style::Pull, iters).unwrap();
+            rt
+        }
+        "md" => {
+            let ids = md::build();
+            let layout = md::Layout::Spatial;
+            let sys = md::generate(120, 1.2, p, layout, cfg.gen_seed.unwrap_or(5));
+            let mut rt = new_rt(&ids.program, CostModel::cm5());
+            let inst = md::setup(&mut rt, &ids, &sys);
+            md::run_iteration(&mut rt, &inst).unwrap();
+            rt
+        }
+        "sync" => {
+            let ids = sync::build();
+            let mut rt = new_rt(&ids.program, CostModel::cm5());
+            let inst = sync::setup(&mut rt, &ids, 16);
+            let driver = |i: usize| inst.drivers[i % inst.drivers.len()];
+            for (d, m) in [
+                (0, ids.fan),
+                (0, ids.scatter),
+                (1, ids.sum_all),
+                (2, ids.quiesce),
+            ] {
+                results.push(rt.call(driver(d), m, &[]).unwrap());
+            }
+            sync::run_rendezvous(&mut rt, &inst).unwrap();
+            rt
+        }
+        other => panic!("unknown kernel {other}"),
+    };
+    let label = format!("{kernel}/{}/{}", cfg.exec, cfg.mode);
+    assert!(rt.is_quiescent(), "{label}: not quiescent after run");
+    assert_eq!(rt.live_contexts(), 0, "{label}: context leak");
+    Outcome::capture(&mut rt, kernel, results)
+}
+
+/// [`run_kernel`] on `machine` with an online rollup attached; `seed`
+/// drives graph/layout generation (MD, EM3D).
+pub fn run_rollup(
+    kernel: &str,
+    seed: u64,
+    exec: Exec,
+    plan: Option<&FaultPlan>,
+    machine: Machine,
+) -> Outcome {
+    let cfg = Cfg {
+        exec,
+        machine,
+        gen_seed: Some(seed),
+        plan,
+        rollup: true,
+        ..Cfg::default()
+    };
+    run_kernel(kernel, &cfg)
+}
+
+// ================= state comparison =================
+
+/// How to replay a failing schedule, for panic messages.
+pub fn replay_help(kernel: &str, choices: &[u32]) -> String {
+    format!(
+        "kernel {kernel}: failing tie-break sequence {choices:?} — replay with \
+         rt.set_tie_break(TieBreak::Replay(vec!{choices:?}))"
+    )
+}
 
 /// Value equality up to floating-point accumulation order: different
 /// schedules and modes re-associate float sums, so floats compare within
@@ -360,7 +670,7 @@ pub fn run_micro_sched(
     let root = rt.alloc_object_by_name(m.entry_class, NodeId(0));
     let args = (m.make_args)(&mut rt);
     let result = rt.call(root, m.entry, &args).unwrap();
-    finish(rt, result)
+    Outcome::capture(&mut rt, m.name, vec![result])
 }
 
 // ================= app kernels (reduced sizes) =================
@@ -384,7 +694,7 @@ pub fn run_app_sched(
         rt.set_tie_break(tie.clone());
         rt.sched_impl = sched;
     };
-    let rt = match kernel {
+    let mut rt = match kernel {
         "sor" => {
             let ids = sor::build();
             let mut rt = Runtime::new(ids.program.clone(), 4, CostModel::cm5(), mode, set).unwrap();
@@ -430,18 +740,5 @@ pub fn run_app_sched(
         }
         other => panic!("unknown kernel {other}"),
     };
-    finish(rt, None)
-}
-
-fn finish(mut rt: Runtime, result: Option<Value>) -> Outcome {
-    rt.sanitizer_check_quiescent();
-    Outcome {
-        result,
-        objects: rt.object_state(),
-        tie_choices: rt.tie_choices(),
-        tie_log: rt.tie_log().to_vec(),
-        violations: rt.take_sanitizer_violations(),
-        makespan: rt.makespan(),
-        stats: rt.stats(),
-    }
+    Outcome::capture(&mut rt, kernel, Vec::new())
 }

@@ -9,183 +9,72 @@
 //!    makespans, per-node clocks, per-node counters, and full trace event
 //!    sequences.
 //! 2. **Implementation equivalence**: the O(log P) event-index dispatcher
-//!    and the O(P) linear-scan reference select exactly the same events in
-//!    exactly the same order — the scan is the executable specification the
-//!    heap is checked against, trace record by trace record.
+//!    and the O(P) scan reference (the exploring loop under an empty
+//!    replay vector) select exactly the same events in exactly the same
+//!    order — the scan is the executable specification the heap is
+//!    checked against, trace record by trace record.
 
-use hem::analysis::InterfaceSet;
-use hem::apps::{em3d, md, sor, sync};
-use hem::core::trace::TraceRecord;
-use hem::core::{ExecMode, Runtime, SchedImpl};
-use hem::machine::cost::CostModel;
-use hem::machine::stats::MachineStats;
-use hem::machine::topology::ProcGrid;
+mod common;
 
-/// One full run of a kernel at P=16 with tracing on: the complete
-/// observable outcome.
-struct RunOutcome {
-    makespan: u64,
-    stats: MachineStats,
-    trace: Vec<TraceRecord>,
-}
+use common::{assert_bit_identical, run_kernel, Cfg, Exec, EVENT_INDEX, KERNELS};
+use hem::core::ExecMode;
 
-fn run_kernel(kernel: &str, mode: ExecMode, sched: SchedImpl) -> RunOutcome {
-    let mut rt = match kernel {
-        "sor" => {
-            let ids = sor::build();
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::cm5(),
-                mode,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            rt.sched_impl = sched;
-            rt.enable_trace();
-            let inst = sor::setup(
-                &mut rt,
-                &ids,
-                sor::SorParams {
-                    n: 20,
-                    block: 2,
-                    procs: ProcGrid::square(16),
-                },
-            );
-            sor::run(&mut rt, &inst, 2).unwrap();
-            rt
-        }
-        "em3d" => {
-            let ids = em3d::build(4);
-            let g = em3d::generate(40, 4, 16, 0.4, 3);
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::t3d(),
-                mode,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            rt.sched_impl = sched;
-            rt.enable_trace();
-            let inst = em3d::setup(&mut rt, &ids, &g);
-            em3d::run(&mut rt, &inst, em3d::Style::Pull, 2).unwrap();
-            rt
-        }
-        "md" => {
-            let ids = md::build();
-            let sys = md::generate(120, 1.2, 16, md::Layout::Spatial, 5);
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::cm5(),
-                mode,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            rt.sched_impl = sched;
-            rt.enable_trace();
-            let inst = md::setup(&mut rt, &ids, &sys);
-            md::run_iteration(&mut rt, &inst).unwrap();
-            rt
-        }
-        "sync" => {
-            let ids = sync::build();
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::cm5(),
-                mode,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            rt.sched_impl = sched;
-            rt.enable_trace();
-            let inst = sync::setup(&mut rt, &ids, 16);
-            rt.call(inst.drivers[0], ids.fan, &[]).unwrap();
-            sync::run_rendezvous(&mut rt, &inst).unwrap();
-            rt
-        }
-        other => panic!("unknown kernel {other}"),
-    };
-    RunOutcome {
-        makespan: rt.makespan(),
-        stats: rt.stats(),
-        trace: rt.take_trace(),
-    }
-}
-
-const KERNELS: [&str; 4] = ["sor", "em3d", "md", "sync"];
+const MODES: [ExecMode; 2] = [ExecMode::Hybrid, ExecMode::ParallelOnly];
 
 /// Identical runs are bit-identical: makespan, per-node clocks, per-node
 /// counters, and the full trace sequence.
 #[test]
 fn kernels_repeat_bit_identically() {
     for kernel in KERNELS {
-        for mode in [ExecMode::Hybrid, ExecMode::ParallelOnly] {
-            let a = run_kernel(kernel, mode, SchedImpl::EventIndex);
-            let b = run_kernel(kernel, mode, SchedImpl::EventIndex);
-            assert_eq!(a.makespan, b.makespan, "{kernel}/{mode}: makespan");
-            assert_eq!(
-                a.stats.node_time, b.stats.node_time,
-                "{kernel}/{mode}: per-node clocks"
-            );
-            assert_eq!(
-                a.stats.per_node, b.stats.per_node,
-                "{kernel}/{mode}: per-node counters"
-            );
-            assert_eq!(
-                a.trace.len(),
-                b.trace.len(),
-                "{kernel}/{mode}: trace length"
-            );
-            assert_eq!(a.trace, b.trace, "{kernel}/{mode}: trace sequence");
+        for mode in MODES {
+            let cfg = Cfg {
+                mode,
+                ..Cfg::default()
+            };
+            let a = run_kernel(kernel, &cfg);
+            let b = run_kernel(kernel, &cfg);
+            assert_bit_identical(&format!("{kernel}/{mode}/repeat"), &a, &b);
         }
     }
 }
 
-/// The event index and the linear scan are the same scheduler: identical
-/// traces, clocks, and counters on every kernel in both execution modes.
+/// The event index and the scan reference are the same scheduler:
+/// identical traces, clocks, and counters on every kernel in both
+/// execution modes. (The name predates the scan's move from a
+/// `SchedImpl` variant to the exploring loop.)
 #[test]
 fn event_index_matches_linear_scan() {
     for kernel in KERNELS {
-        for mode in [ExecMode::Hybrid, ExecMode::ParallelOnly] {
-            let heap = run_kernel(kernel, mode, SchedImpl::EventIndex);
-            let scan = run_kernel(kernel, mode, SchedImpl::LinearScan);
-            assert_eq!(heap.makespan, scan.makespan, "{kernel}/{mode}: makespan");
-            assert_eq!(
-                heap.stats.node_time, scan.stats.node_time,
-                "{kernel}/{mode}: per-node clocks"
-            );
-            assert_eq!(
-                heap.stats.per_node, scan.stats.per_node,
-                "{kernel}/{mode}: per-node counters"
-            );
-            // First divergence, if any, reported with its index for triage.
-            if let Some(i) = (0..heap.trace.len().min(scan.trace.len()))
-                .find(|&i| heap.trace[i] != scan.trace[i])
-            {
-                panic!(
-                    "{kernel}/{mode}: traces diverge at record {i}:\n  \
-                     event-index: {:?}\n  linear-scan: {:?}",
-                    heap.trace[i], scan.trace[i]
-                );
-            }
-            assert_eq!(
-                heap.trace.len(),
-                scan.trace.len(),
-                "{kernel}/{mode}: trace length"
-            );
+        for mode in MODES {
+            let run = |exec| {
+                run_kernel(
+                    kernel,
+                    &Cfg {
+                        exec,
+                        mode,
+                        ..Cfg::default()
+                    },
+                )
+            };
+            let heap = run(EVENT_INDEX);
+            let scan = run(Exec::Scan);
+            assert_bit_identical(&format!("{kernel}/{mode}/index-vs-scan"), &heap, &scan);
         }
     }
 }
 
-/// The scheduler counters are live under the event index and quiet under
-/// the scan, and dispatch at least one event per message handled.
+/// The scheduler counters are live under the event index, and both
+/// implementations dispatch the same event count.
 #[test]
 fn sched_stats_reflect_dispatch() {
-    let heap = run_kernel("sor", ExecMode::Hybrid, SchedImpl::EventIndex);
-    let scan = run_kernel("sor", ExecMode::Hybrid, SchedImpl::LinearScan);
+    let heap = run_kernel("sor", &Cfg::default());
+    let scan = run_kernel(
+        "sor",
+        &Cfg {
+            exec: Exec::Scan,
+            ..Cfg::default()
+        },
+    );
     assert_eq!(
         heap.stats.sched.events_dispatched, scan.stats.sched.events_dispatched,
         "both implementations dispatch the same event count"
@@ -193,9 +82,4 @@ fn sched_stats_reflect_dispatch() {
     assert!(heap.stats.sched.events_dispatched > 0);
     assert!(heap.stats.sched.heap_pushes >= heap.stats.sched.events_dispatched);
     assert!(heap.stats.sched.max_heap_depth > 0);
-    assert_eq!(
-        scan.stats.sched.heap_pushes, 0,
-        "scan never touches the heap"
-    );
-    assert_eq!(scan.stats.sched.max_heap_depth, 0);
 }

@@ -7,8 +7,8 @@
 //! the reliable transport engaged, and the harness asserts:
 //!
 //! 1. **Scheduler equivalence under faults**: the O(log P) event-index
-//!    dispatcher and the linear-scan reference produce bit-identical
-//!    traces, clocks, counters, and final object state for the same fault
+//!    dispatcher and the scan reference produce bit-identical traces,
+//!    clocks, counters, and final object state for the same fault
 //!    schedule, in both execution modes.
 //! 2. **Repeatability**: the same `(kernel, mode, plan)` run twice is
 //!    bit-identical — fault injection is a pure function of the plan.
@@ -21,150 +21,32 @@
 //!    copy acked (`acks_sent == msgs_handled + dups_suppressed`), and no
 //!    context leaks.
 //!
-//! Seeds come from `HYBRID_TEST_SEED` when set (the CI fault-soak job
-//! pins three), else a built-in trio.
+//! Seeds come from `HYBRID_TEST_SEED` when set (the seeded CI job pins
+//! three), else a built-in trio.
 
-use hem::analysis::InterfaceSet;
-use hem::apps::{em3d, md, sor, sync};
-use hem::core::trace::TraceRecord;
-use hem::core::{ExecMode, NodeObjectState, Runtime, SchedImpl};
-use hem::ir::Value;
-use hem::machine::cost::CostModel;
+mod common;
+
+use common::{
+    assert_bit_identical, assert_state_close, run_kernel, seeds, Cfg, Exec, Outcome, EVENT_INDEX,
+    KERNELS, THREADS,
+};
+use hem::core::ExecMode;
 use hem::machine::fault::{FaultPlan, LinkWindow, NodeWindow};
-use hem::machine::stats::MachineStats;
-use hem::machine::topology::ProcGrid;
 use hem::NodeId;
 use proptest::prelude::*;
 
-/// Everything observable about one run.
-struct Outcome {
-    makespan: u64,
-    stats: MachineStats,
-    trace: Vec<TraceRecord>,
-    objects: Vec<NodeObjectState>,
-}
-
-/// Run `kernel` at P=16 with tracing on and `plan` installed (which also
-/// engages the reliable transport); `None` runs the legacy raw framing.
-fn run_kernel(kernel: &str, mode: ExecMode, sched: SchedImpl, plan: Option<&FaultPlan>) -> Outcome {
-    let arm = |rt: &mut Runtime| {
-        rt.sched_impl = sched;
-        rt.enable_trace();
-        match plan {
-            Some(p) => rt.set_fault_plan(p.clone()),
-            // Transport on even fault-free, so object state is compared
-            // across plans under one protocol.
-            None => rt.enable_reliable_transport(),
-        }
+/// Run `kernel` at P=16 under `exec`, with `plan` installed (which also
+/// engages the reliable transport) or, fault-free, with the transport on
+/// anyway so object state is compared across plans under one protocol.
+fn run(kernel: &str, mode: ExecMode, exec: Exec, plan: Option<&FaultPlan>) -> Outcome {
+    let cfg = Cfg {
+        exec,
+        mode,
+        plan,
+        transport: true,
+        ..Cfg::default()
     };
-    let rt = match kernel {
-        "sor" => {
-            let ids = sor::build();
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::cm5(),
-                mode,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            arm(&mut rt);
-            let inst = sor::setup(
-                &mut rt,
-                &ids,
-                sor::SorParams {
-                    n: 20,
-                    block: 2,
-                    procs: ProcGrid::square(16),
-                },
-            );
-            sor::run(&mut rt, &inst, 2).unwrap();
-            rt
-        }
-        "em3d" => {
-            let ids = em3d::build(4);
-            let g = em3d::generate(40, 4, 16, 0.4, 3);
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::t3d(),
-                mode,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            arm(&mut rt);
-            let inst = em3d::setup(&mut rt, &ids, &g);
-            em3d::run(&mut rt, &inst, em3d::Style::Pull, 2).unwrap();
-            rt
-        }
-        "md" => {
-            let ids = md::build();
-            let sys = md::generate(120, 1.2, 16, md::Layout::Spatial, 5);
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::cm5(),
-                mode,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            arm(&mut rt);
-            let inst = md::setup(&mut rt, &ids, &sys);
-            md::run_iteration(&mut rt, &inst).unwrap();
-            rt
-        }
-        "sync" => {
-            let ids = sync::build();
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::cm5(),
-                mode,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            arm(&mut rt);
-            let inst = sync::setup(&mut rt, &ids, 16);
-            // The full structure mix: acked multicast (fan), fire-and-
-            // forget multicast (scatter), modeled reduce and barrier, and
-            // the continuation-stored rendezvous — so every collective
-            // leg kind meets every fault fate.
-            rt.call(inst.drivers[0], ids.fan, &[]).unwrap();
-            rt.call(inst.drivers[0], ids.scatter, &[]).unwrap();
-            rt.call(inst.drivers[1], ids.sum_all, &[]).unwrap();
-            rt.call(inst.drivers[2], ids.quiesce, &[]).unwrap();
-            sync::run_rendezvous(&mut rt, &inst).unwrap();
-            rt
-        }
-        other => panic!("unknown kernel {other}"),
-    };
-    assert!(
-        rt.is_quiescent(),
-        "{kernel}/{mode}: not quiescent after run"
-    );
-    assert_eq!(rt.live_contexts(), 0, "{kernel}/{mode}: context leak");
-    let mut rt = rt;
-    Outcome {
-        makespan: rt.makespan(),
-        stats: rt.stats(),
-        trace: rt.take_trace(),
-        objects: rt.object_state(),
-    }
-}
-
-const KERNELS: [&str; 4] = ["sor", "em3d", "md", "sync"];
-
-/// Seeds for the matrix: `HYBRID_TEST_SEED` (one seed) when set, else a
-/// pinned trio. The CI fault-soak job sweeps its own pinned seeds through
-/// the env var.
-fn seeds() -> Vec<u64> {
-    match std::env::var("HYBRID_TEST_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("HYBRID_TEST_SEED must be an unsigned integer")],
-        Err(_) => vec![1, 0xDEAD_BEEF, 3_141_592_653],
-    }
+    run_kernel(kernel, &cfg)
 }
 
 /// The fault grid for one seed: loss ∈ {0‰, 10‰, 50‰} crossed with
@@ -216,56 +98,6 @@ fn fault_grid(seed: u64) -> Vec<FaultPlan> {
     plans
 }
 
-/// Value equality up to floating-point accumulation order: different
-/// event orders (across modes, or across fault plans) re-associate float
-/// sums, so floats compare within a tolerance; everything else exactly.
-fn value_close(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => {
-            (x - y).abs() <= 1e-6_f64.max(1e-9 * x.abs().max(y.abs()))
-        }
-        _ => a == b,
-    }
-}
-
-type ObjectState = [Vec<(u32, Vec<Value>, Vec<Vec<Value>>)>];
-
-/// Structural object-state equality with [`value_close`] on the payload.
-fn assert_state_close(label: &str, a: &ObjectState, b: &ObjectState) {
-    assert_eq!(a.len(), b.len(), "{label}: node count");
-    for (ni, (na, nb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(na.len(), nb.len(), "{label}: node {ni} object count");
-        for (oi, (oa, ob)) in na.iter().zip(nb).enumerate() {
-            assert_eq!(oa.0, ob.0, "{label}: node {ni} obj {oi} class");
-            let scal =
-                oa.1.len() == ob.1.len() && oa.1.iter().zip(&ob.1).all(|(x, y)| value_close(x, y));
-            let arr = oa.2.len() == ob.2.len()
-                && oa.2.iter().zip(&ob.2).all(|(xs, ys)| {
-                    xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| value_close(x, y))
-                });
-            assert!(
-                scal && arr,
-                "{label}: node {ni} obj {oi} state differs:\n  a: {oa:?}\n  b: {ob:?}"
-            );
-        }
-    }
-}
-
-fn assert_bit_identical(label: &str, a: &Outcome, b: &Outcome) {
-    assert_eq!(a.makespan, b.makespan, "{label}: makespan");
-    assert_eq!(a.stats.node_time, b.stats.node_time, "{label}: clocks");
-    assert_eq!(a.stats.per_node, b.stats.per_node, "{label}: counters");
-    assert_eq!(a.stats.net, b.stats.net, "{label}: net/fault stats");
-    if let Some(i) = (0..a.trace.len().min(b.trace.len())).find(|&i| a.trace[i] != b.trace[i]) {
-        panic!(
-            "{label}: traces diverge at record {i}:\n  a: {:?}\n  b: {:?}",
-            a.trace[i], b.trace[i]
-        );
-    }
-    assert_eq!(a.trace.len(), b.trace.len(), "{label}: trace length");
-    assert_eq!(a.objects, b.objects, "{label}: object state");
-}
-
 fn assert_conservation(label: &str, o: &Outcome) {
     let t = o.stats.totals();
     assert_eq!(
@@ -294,8 +126,8 @@ fn assert_conservation(label: &str, o: &Outcome) {
 fn fault_matrix_semantics_invariant() {
     for kernel in KERNELS {
         // Fault-free references (transport on), one per mode.
-        let clean_h = run_kernel(kernel, ExecMode::Hybrid, SchedImpl::EventIndex, None);
-        let clean_p = run_kernel(kernel, ExecMode::ParallelOnly, SchedImpl::EventIndex, None);
+        let clean_h = run(kernel, ExecMode::Hybrid, EVENT_INDEX, None);
+        let clean_p = run(kernel, ExecMode::ParallelOnly, EVENT_INDEX, None);
         assert_conservation(&format!("{kernel}/clean/hybrid"), &clean_h);
         assert_state_close(
             &format!("{kernel}: hybrid vs parallel-only final state (fault-free)"),
@@ -305,26 +137,13 @@ fn fault_matrix_semantics_invariant() {
         for seed in seeds() {
             for (pi, plan) in fault_grid(seed).iter().enumerate() {
                 let label = format!("{kernel}/seed{seed}/plan{pi}");
-                let h_heap =
-                    run_kernel(kernel, ExecMode::Hybrid, SchedImpl::EventIndex, Some(plan));
-                let h_scan =
-                    run_kernel(kernel, ExecMode::Hybrid, SchedImpl::LinearScan, Some(plan));
+                let h_heap = run(kernel, ExecMode::Hybrid, EVENT_INDEX, Some(plan));
+                let h_scan = run(kernel, ExecMode::Hybrid, Exec::Scan, Some(plan));
                 assert_bit_identical(&format!("{label}/hybrid heap-vs-scan"), &h_heap, &h_scan);
-                let h_again =
-                    run_kernel(kernel, ExecMode::Hybrid, SchedImpl::EventIndex, Some(plan));
+                let h_again = run(kernel, ExecMode::Hybrid, EVENT_INDEX, Some(plan));
                 assert_bit_identical(&format!("{label}/hybrid repeat"), &h_heap, &h_again);
-                let p_heap = run_kernel(
-                    kernel,
-                    ExecMode::ParallelOnly,
-                    SchedImpl::EventIndex,
-                    Some(plan),
-                );
-                let p_scan = run_kernel(
-                    kernel,
-                    ExecMode::ParallelOnly,
-                    SchedImpl::LinearScan,
-                    Some(plan),
-                );
+                let p_heap = run(kernel, ExecMode::ParallelOnly, EVENT_INDEX, Some(plan));
+                let p_scan = run(kernel, ExecMode::ParallelOnly, Exec::Scan, Some(plan));
                 assert_bit_identical(&format!("{label}/par heap-vs-scan"), &p_heap, &p_scan);
                 assert_conservation(&format!("{label}/hybrid"), &h_heap);
                 assert_conservation(&format!("{label}/par"), &p_heap);
@@ -379,7 +198,7 @@ fn duplicates_respect_stall_windows() {
             from: 0,
             until: UNTIL,
         }];
-        let o = run_kernel("sor", ExecMode::Hybrid, SchedImpl::EventIndex, Some(&plan));
+        let o = run("sor", ExecMode::Hybrid, EVENT_INDEX, Some(&plan));
         let label = format!("dup-stall/seed{seed}");
         // The plan must actually exercise both fault mechanisms.
         assert!(
@@ -417,14 +236,9 @@ fn sharded_matches_event_index_under_fault_grid() {
             let grid = fault_grid(seed);
             for (pi, plan) in [(4, &grid[4]), (6, &grid[6])] {
                 let label = format!("{kernel}/seed{seed}/plan{pi}/sharded");
-                let base = run_kernel(kernel, ExecMode::Hybrid, SchedImpl::EventIndex, Some(plan));
-                for threads in [2usize, 4] {
-                    let sharded = run_kernel(
-                        kernel,
-                        ExecMode::Hybrid,
-                        SchedImpl::Sharded { threads },
-                        Some(plan),
-                    );
+                let base = run(kernel, ExecMode::Hybrid, EVENT_INDEX, Some(plan));
+                for threads in THREADS {
+                    let sharded = run(kernel, ExecMode::Hybrid, Exec::sharded(threads), Some(plan));
                     assert_bit_identical(&format!("{label}/threads{threads}"), &base, &sharded);
                 }
                 assert_conservation(&label, &base);
@@ -439,8 +253,8 @@ fn sharded_matches_event_index_under_fault_grid() {
 #[test]
 fn zero_fault_transport_is_transparent() {
     for kernel in KERNELS {
-        let raw = run_kernel_raw(kernel);
-        let clean = run_kernel(kernel, ExecMode::Hybrid, SchedImpl::EventIndex, None);
+        let raw = run_kernel(kernel, &Cfg::default());
+        let clean = run(kernel, ExecMode::Hybrid, EVENT_INDEX, None);
         let t = clean.stats.totals();
         assert_eq!(t.retransmits, 0, "{kernel}: retransmits on a clean wire");
         assert_eq!(t.dups_suppressed, 0, "{kernel}: duplicates on a clean wire");
@@ -454,103 +268,6 @@ fn zero_fault_transport_is_transparent() {
             &raw.objects,
             &clean.objects,
         );
-    }
-}
-
-/// Legacy framing run (no transport, no plan) for the transparency check.
-fn run_kernel_raw(kernel: &str) -> Outcome {
-    match kernel {
-        "sor" => {
-            let ids = sor::build();
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::cm5(),
-                ExecMode::Hybrid,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            let inst = sor::setup(
-                &mut rt,
-                &ids,
-                sor::SorParams {
-                    n: 20,
-                    block: 2,
-                    procs: ProcGrid::square(16),
-                },
-            );
-            sor::run(&mut rt, &inst, 2).unwrap();
-            Outcome {
-                makespan: rt.makespan(),
-                stats: rt.stats(),
-                trace: Vec::new(),
-                objects: rt.object_state(),
-            }
-        }
-        "em3d" => {
-            let ids = em3d::build(4);
-            let g = em3d::generate(40, 4, 16, 0.4, 3);
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::t3d(),
-                ExecMode::Hybrid,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            let inst = em3d::setup(&mut rt, &ids, &g);
-            em3d::run(&mut rt, &inst, em3d::Style::Pull, 2).unwrap();
-            Outcome {
-                makespan: rt.makespan(),
-                stats: rt.stats(),
-                trace: Vec::new(),
-                objects: rt.object_state(),
-            }
-        }
-        "md" => {
-            let ids = md::build();
-            let sys = md::generate(120, 1.2, 16, md::Layout::Spatial, 5);
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::cm5(),
-                ExecMode::Hybrid,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            let inst = md::setup(&mut rt, &ids, &sys);
-            md::run_iteration(&mut rt, &inst).unwrap();
-            Outcome {
-                makespan: rt.makespan(),
-                stats: rt.stats(),
-                trace: Vec::new(),
-                objects: rt.object_state(),
-            }
-        }
-        "sync" => {
-            let ids = sync::build();
-            let mut rt = Runtime::new(
-                ids.program.clone(),
-                16,
-                CostModel::cm5(),
-                ExecMode::Hybrid,
-                InterfaceSet::Full,
-            )
-            .unwrap();
-            let inst = sync::setup(&mut rt, &ids, 16);
-            rt.call(inst.drivers[0], ids.fan, &[]).unwrap();
-            rt.call(inst.drivers[0], ids.scatter, &[]).unwrap();
-            rt.call(inst.drivers[1], ids.sum_all, &[]).unwrap();
-            rt.call(inst.drivers[2], ids.quiesce, &[]).unwrap();
-            sync::run_rendezvous(&mut rt, &inst).unwrap();
-            Outcome {
-                makespan: rt.makespan(),
-                stats: rt.stats(),
-                trace: Vec::new(),
-                objects: rt.object_state(),
-            }
-        }
-        other => panic!("unknown kernel {other}"),
     }
 }
 
@@ -571,13 +288,13 @@ proptest! {
         plan.drop_permille = drop_permille;
         plan.dup_permille = dup_permille;
         plan.jitter_max = jitter_max;
-        let clean = run_kernel("sync", ExecMode::Hybrid, SchedImpl::EventIndex, None);
-        let heap = run_kernel("sync", ExecMode::Hybrid, SchedImpl::EventIndex, Some(&plan));
-        let scan = run_kernel("sync", ExecMode::Hybrid, SchedImpl::LinearScan, Some(&plan));
+        let clean = run("sync", ExecMode::Hybrid, EVENT_INDEX, None);
+        let heap = run("sync", ExecMode::Hybrid, EVENT_INDEX, Some(&plan));
+        let scan = run("sync", ExecMode::Hybrid, Exec::Scan, Some(&plan));
         assert_bit_identical("random/heap-vs-scan", &heap, &scan);
         assert_conservation("random", &heap);
         assert_state_close("random: state under faults", &heap.objects, &clean.objects);
-        let par = run_kernel("sync", ExecMode::ParallelOnly, SchedImpl::EventIndex, Some(&plan));
+        let par = run("sync", ExecMode::ParallelOnly, EVENT_INDEX, Some(&plan));
         assert_conservation("random/par", &par);
         assert_state_close("random: parallel-only state", &par.objects, &clean.objects);
     }

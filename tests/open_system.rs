@@ -5,8 +5,8 @@
 //! `(seed, rate, horizon)` the run — arrival times, admission decisions,
 //! injected requests, traces, machine stats, rollup report with its
 //! service section — is a pure function of the configuration, identical
-//! across the event-index, linear-scan, and sharded executors at every
-//! thread count, with or without a fault plan. On top of that:
+//! across the event-index, scan-reference, and sharded executors at
+//! every thread count, with or without a fault plan. On top of that:
 //!
 //! * `run_until` is resumable: stepping to a horizon in many chunks is
 //!   bit-identical to reaching it in one call;
@@ -16,39 +16,23 @@
 //!
 //! Seeds come from `HYBRID_TEST_SEED` when set, else a pinned trio.
 
+mod common;
+
+use common::{assert_bit_identical, seeds, Cfg, Exec, Outcome, EVENT_INDEX, EXECUTORS, THREADS};
 use hem::apps::service::{self, Disposition, ServeParams};
-use hem::core::trace::TraceRecord;
-use hem::core::{Runtime, SchedImpl};
+use hem::core::Runtime;
 use hem::machine::arrival::ArrivalDist;
 use hem::machine::fault::FaultPlan;
-use hem::machine::stats::MachineStats;
 use hem::obs::{Report, Rollup};
 use hem::{CostModel, ExecMode, InterfaceSet, Value};
 use hem_bench::serve::ServeConfig;
 
-struct Outcome {
-    makespan: u64,
-    stats: MachineStats,
-    trace: Vec<TraceRecord>,
-    report: String,
-    dispositions: Vec<(u64, u64, u32, u8, service::Disposition)>,
-}
-
-const THREADS: [usize; 2] = [2, 4];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("HYBRID_TEST_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("HYBRID_TEST_SEED must be an unsigned integer")],
-        Err(_) => vec![1, 0xDEAD_BEEF, 3_141_592_653],
-    }
-}
+/// One request's fate: `(req, arrived, node, kind, disposition)`.
+type Dispositions = Vec<(u64, u64, u32, u8, Disposition)>;
 
 /// Run the service mix at P=8 to a 30k-cycle horizon with admission
 /// control engaged (so shed paths are exercised too).
-fn run_service_mix(seed: u64, sched: SchedImpl, plan: Option<&FaultPlan>) -> Outcome {
+fn run_service_mix(seed: u64, exec: Exec, plan: Option<&FaultPlan>) -> (Outcome, Dispositions) {
     let ids = service::build();
     let mut rt = Runtime::new(
         ids.program.clone(),
@@ -58,12 +42,13 @@ fn run_service_mix(seed: u64, sched: SchedImpl, plan: Option<&FaultPlan>) -> Out
         InterfaceSet::Full,
     )
     .unwrap();
-    rt.sched_impl = sched;
-    rt.enable_trace();
-    rt.attach_observer(Box::new(Rollup::new()));
-    if let Some(p) = plan {
-        rt.set_fault_plan(p.clone());
-    }
+    let cfg = Cfg {
+        exec,
+        plan,
+        rollup: true,
+        ..Cfg::default()
+    };
+    cfg.arm(&mut rt);
     let inst = service::setup(&mut rt, &ids, 16);
     let params = ServeParams {
         horizon: 30_000,
@@ -74,95 +59,64 @@ fn run_service_mix(seed: u64, sched: SchedImpl, plan: Option<&FaultPlan>) -> Out
         max_queue: 24,
     };
     let out = service::run_service(&mut rt, &inst, &params).unwrap();
-    let stats = rt.stats();
-    let any: Box<dyn std::any::Any> = rt.take_observer().expect("rollup attached");
-    let rollup = any.downcast::<Rollup>().expect("a Rollup");
-    let report = Report::new("service-mix", &rollup, &stats, rt.program(), rt.schemas()).text();
-    Outcome {
-        makespan: rt.makespan(),
-        stats,
-        trace: rt.take_trace(),
-        report,
-        dispositions: out
-            .records
-            .iter()
-            .map(|r| (r.req, r.arrived, r.node.0, r.kind, r.disposition))
-            .collect(),
-    }
+    let dispositions = out
+        .records
+        .iter()
+        .map(|r| (r.req, r.arrived, r.node.0, r.kind, r.disposition))
+        .collect();
+    (
+        Outcome::capture(&mut rt, "service-mix", Vec::new()),
+        dispositions,
+    )
 }
 
-fn assert_bit_identical(label: &str, base: &Outcome, other: &Outcome) {
-    assert_eq!(base.makespan, other.makespan, "{label}: makespan");
-    assert_eq!(
-        base.stats.node_time, other.stats.node_time,
-        "{label}: per-node clocks"
-    );
-    assert_eq!(
-        base.stats.per_node, other.stats.per_node,
-        "{label}: per-node counters"
-    );
-    assert_eq!(base.stats.net, other.stats.net, "{label}: net/fault stats");
-    if let Some(i) =
-        (0..base.trace.len().min(other.trace.len())).find(|&i| base.trace[i] != other.trace[i])
-    {
-        panic!(
-            "{label}: traces diverge at record {i}:\n  base:  {:?}\n  other: {:?}",
-            base.trace[i], other.trace[i]
-        );
-    }
-    assert_eq!(base.trace.len(), other.trace.len(), "{label}: trace length");
-    assert_eq!(
-        base.dispositions, other.dispositions,
-        "{label}: request dispositions"
-    );
-    assert_eq!(base.report, other.report, "{label}: rollup report text");
-}
-
-/// Fault-free matrix: linear scan and sharded (2, 4 threads) against the
-/// event index, every pinned seed.
-#[test]
-fn open_system_is_bit_identical_across_executors() {
+/// Every executor against the event index, every pinned seed, with and
+/// without a fault plan: bit-identical outcome and request dispositions.
+fn assert_matrix(plan_for: impl Fn(u64) -> Option<FaultPlan>) {
     for seed in seeds() {
-        let base = run_service_mix(seed, SchedImpl::EventIndex, None);
+        let plan = plan_for(seed);
+        let tag = if plan.is_some() { "/faulty" } else { "" };
+        let (base, base_disp) = run_service_mix(seed, EVENT_INDEX, plan.as_ref());
         assert!(
-            base.dispositions
+            base_disp
                 .iter()
                 .any(|d| matches!(d.4, Disposition::Completed(_))),
-            "seed {seed}: some requests complete"
+            "seed {seed}{tag}: some requests complete"
         );
-        let lin = run_service_mix(seed, SchedImpl::LinearScan, None);
-        assert_bit_identical(&format!("seed{seed}/linear"), &base, &lin);
-        for threads in THREADS {
-            let sh = run_service_mix(seed, SchedImpl::Sharded { threads }, None);
-            assert_bit_identical(&format!("seed{seed}/threads{threads}"), &base, &sh);
+        for exec in &EXECUTORS[1..] {
+            let label = format!("seed{seed}{tag}/{exec}");
+            let (other, disp) = run_service_mix(seed, *exec, plan.as_ref());
+            assert_bit_identical(&label, &base, &other);
+            assert_eq!(base_disp, disp, "{label}: request dispositions");
         }
     }
+}
+
+/// Fault-free matrix: scan reference and sharded (2, 4 threads) against
+/// the event index, every pinned seed.
+#[test]
+fn open_system_is_bit_identical_across_executors() {
+    assert_matrix(|_| None);
 }
 
 /// The same matrix with a seeded fault plan (loss, duplication, jitter):
 /// retransmissions shift completions, but identically everywhere.
 #[test]
 fn open_system_is_bit_identical_under_faults() {
-    for seed in seeds() {
+    assert_matrix(|seed| {
         let mut plan = FaultPlan::seeded(seed);
         plan.drop_permille = 20;
         plan.dup_permille = 20;
         plan.jitter_max = 80;
-        let base = run_service_mix(seed, SchedImpl::EventIndex, Some(&plan));
-        let lin = run_service_mix(seed, SchedImpl::LinearScan, Some(&plan));
-        assert_bit_identical(&format!("seed{seed}/faulty/linear"), &base, &lin);
-        for threads in THREADS {
-            let sh = run_service_mix(seed, SchedImpl::Sharded { threads }, Some(&plan));
-            assert_bit_identical(&format!("seed{seed}/faulty/threads{threads}"), &base, &sh);
-        }
-    }
+        Some(plan)
+    });
 }
 
 /// `run_until` is resumable: many small horizons compose to the same
 /// state as one big one, on every executor.
 #[test]
 fn run_until_composes_across_chunked_horizons() {
-    let drive = |sched: SchedImpl, chunks: &[u64]| {
+    let drive = |exec: Exec, chunks: &[u64]| {
         let ids = service::build();
         let mut rt = Runtime::new(
             ids.program.clone(),
@@ -172,8 +126,11 @@ fn run_until_composes_across_chunked_horizons() {
             InterfaceSet::Full,
         )
         .unwrap();
-        rt.sched_impl = sched;
-        rt.enable_trace();
+        Cfg {
+            exec,
+            ..Cfg::default()
+        }
+        .arm(&mut rt);
         let inst = service::setup(&mut rt, &ids, 8);
         for (i, at) in [100u64, 230, 360, 520].iter().enumerate() {
             let fe = inst.frontends[i % inst.frontends.len()];
@@ -185,17 +142,13 @@ fn run_until_composes_across_chunked_horizons() {
         let completions = rt.take_completed_requests();
         (rt.stats(), rt.take_trace(), completions)
     };
-    for sched in [
-        SchedImpl::EventIndex,
-        SchedImpl::LinearScan,
-        SchedImpl::Sharded { threads: 2 },
-    ] {
-        let whole = drive(sched, &[20_000]);
-        let chunked = drive(sched, &[150, 151, 400, 2_000, 2_001, 20_000]);
-        assert_eq!(whole.0.node_time, chunked.0.node_time, "{sched:?}: clocks");
-        assert_eq!(whole.1, chunked.1, "{sched:?}: traces");
-        assert_eq!(whole.2, chunked.2, "{sched:?}: completions");
-        assert_eq!(whole.2.len(), 4, "{sched:?}: all four requests completed");
+    for exec in EXECUTORS {
+        let whole = drive(exec, &[20_000]);
+        let chunked = drive(exec, &[150, 151, 400, 2_000, 2_001, 20_000]);
+        assert_eq!(whole.0.node_time, chunked.0.node_time, "{exec}: clocks");
+        assert_eq!(whole.1, chunked.1, "{exec}: traces");
+        assert_eq!(whole.2, chunked.2, "{exec}: completions");
+        assert_eq!(whole.2.len(), 4, "{exec}: all four requests completed");
     }
 }
 

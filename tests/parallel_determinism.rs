@@ -19,18 +19,19 @@
 //!
 //! The heap diagnostics (`heap_pushes`, `stale_pops`, `max_heap_depth`)
 //! are per-worker implementation details and read 0 under the sharded
-//! executor (the linear scan sets the precedent); they are deliberately
-//! excluded from the comparison, as are the reports (which never show
-//! them).
+//! executor; they are deliberately excluded from the comparison, as are
+//! the reports (which never show them).
 //!
-//! Seeds come from `HYBRID_TEST_SEED` when set (the CI
-//! parallel-determinism job pins three), else a built-in trio.
+//! Seeds come from `HYBRID_TEST_SEED` when set (the seeded CI job pins
+//! three), else a built-in trio.
 
-mod kernel_matrix;
+mod common;
 
-use hem::core::SchedImpl;
+use common::{
+    assert_bit_identical, run_rollup as run, seeds, Exec, Machine, EVENT_INDEX, KERNELS, MACHINES,
+    THREADS,
+};
 use hem::machine::fault::FaultPlan;
-use kernel_matrix::{assert_bit_identical, run_kernel, seeds, Machine, KERNELS, MACHINES, THREADS};
 
 /// Fault-free matrix: every machine × kernel × pinned seed, sharded at 2
 /// and 4 threads vs the single-threaded event index.
@@ -39,11 +40,10 @@ fn sharded_matches_event_index_on_all_kernels() {
     for machine in MACHINES {
         for kernel in KERNELS {
             for seed in seeds() {
-                let run = |sched| run_kernel(kernel, seed, sched, None, machine);
                 let label = format!("{kernel}/{machine:?}/seed{seed}");
-                let base = run(SchedImpl::EventIndex);
+                let base = run(kernel, seed, EVENT_INDEX, None, machine);
                 for threads in THREADS {
-                    let sh = run(SchedImpl::Sharded { threads });
+                    let sh = run(kernel, seed, Exec::sharded(threads), None, machine);
                     assert_bit_identical(&format!("{label}/threads{threads}"), &base, &sh);
                 }
             }
@@ -63,18 +63,12 @@ fn sharded_matches_event_index_under_faults() {
             plan.drop_permille = 20;
             plan.dup_permille = 20;
             plan.jitter_max = 80;
-            let base = run_kernel(
-                kernel,
-                seed,
-                SchedImpl::EventIndex,
-                Some(&plan),
-                Machine::Native,
-            );
+            let base = run(kernel, seed, EVENT_INDEX, Some(&plan), Machine::Native);
             for threads in THREADS {
-                let sh = run_kernel(
+                let sh = run(
                     kernel,
                     seed,
-                    SchedImpl::Sharded { threads },
+                    Exec::sharded(threads),
                     Some(&plan),
                     Machine::Native,
                 );
@@ -93,10 +87,9 @@ fn sharded_matches_event_index_under_faults() {
 /// all reproduce the baseline.
 #[test]
 fn degenerate_thread_counts_match() {
-    let run = |sched| run_kernel("sor", 1, sched, None, Machine::Native);
-    let base = run(SchedImpl::EventIndex);
+    let base = run("sor", 1, EVENT_INDEX, None, Machine::Native);
     for threads in [0usize, 1, 16, 64] {
-        let sh = run(SchedImpl::Sharded { threads });
+        let sh = run("sor", 1, Exec::sharded(threads), None, Machine::Native);
         assert_bit_identical(&format!("sor/degenerate/threads{threads}"), &base, &sh);
     }
 }

@@ -19,8 +19,8 @@
 //! The harness's teeth are proved by the seeded mutants in
 //! `hem_core::explore::Mutant` (compiled under `--features mutants`):
 //! `HEM_MUTANT=<name> cargo test --release --features mutants --test
-//! schedule_explore` must fail for every mutant name — the CI
-//! conformance job enforces exactly that.
+//! schedule_explore` must fail for every mutant name — the seeded
+//! CI job enforces exactly that.
 
 mod common;
 
@@ -36,7 +36,7 @@ use hem::machine::topology::ProcGrid;
 /// Tiny app instances for the exhaustive pass (their full tie trees are
 /// a few hundred schedules).
 fn run_tiny(kernel: &str, mode: ExecMode, tie: TieBreak) -> Outcome {
-    let rt = match kernel {
+    let mut rt = match kernel {
         "sor4" => {
             let ids = sor::build();
             let mut rt = Runtime::new(
@@ -80,17 +80,7 @@ fn run_tiny(kernel: &str, mode: ExecMode, tie: TieBreak) -> Outcome {
         }
         other => panic!("unknown tiny kernel {other}"),
     };
-    let mut rt = rt;
-    rt.sanitizer_check_quiescent();
-    Outcome {
-        result: None,
-        objects: rt.object_state(),
-        tie_choices: rt.tie_choices(),
-        tie_log: rt.tie_log().to_vec(),
-        violations: rt.take_sanitizer_violations(),
-        makespan: rt.makespan(),
-        stats: rt.stats(),
-    }
+    Outcome::capture(&mut rt, kernel, Vec::new())
 }
 
 /// Every protocol micro kernel, both modes, full tie tree: schedules are
@@ -109,13 +99,13 @@ fn micro_kernels_conform_on_every_schedule() {
                 let o = run_micro(&m, mode, TieBreak::Replay(plan));
                 assert_clean(&label, &o);
                 assert!(
-                    match (&o.result, &reference.result) {
-                        (Some(a), Some(b)) => value_close(a, b),
+                    match (o.result(), reference.result()) {
+                        (Some(a), Some(b)) => value_close(&a, &b),
                         (a, b) => a == b,
                     },
                     "{label}: result {:?} != reference {:?}\n{}",
-                    o.result,
-                    reference.result,
+                    o.result(),
+                    reference.result(),
                     replay_help(&label, &o.tie_choices)
                 );
                 assert_state_close(
@@ -179,7 +169,7 @@ fn sampled_schedules_per_app_kernel() {
         splitmix64(&mut base);
     }
     const SAMPLES: usize = 200;
-    for kernel in APP_KERNELS {
+    for kernel in KERNELS {
         let reference = run_app(
             kernel,
             ExecMode::ParallelOnly,
@@ -265,14 +255,14 @@ fn replay_reproduces_a_sampled_schedule() {
 /// reference. The shard workers carry their own sanitizer state (merged
 /// at the end) and their own copy of any seeded protocol mutant, so
 /// every mutant the single-threaded conformance run catches is caught
-/// here too — the mutant-kill CI job runs this binary under
+/// here too — the seeded CI job runs this binary under
 /// `--features mutants`.
 #[test]
 fn sharded_config_conforms() {
     for m in micro_kernels() {
         let base = run_micro_sched(&m, ExecMode::Hybrid, TieBreak::Det, SchedImpl::EventIndex);
         assert_clean(&format!("{}/sharded-base", m.name), &base);
-        for threads in [2usize, 4] {
+        for threads in THREADS {
             let label = format!("{}/sharded{threads}", m.name);
             let o = run_micro_sched(
                 &m,
@@ -281,7 +271,7 @@ fn sharded_config_conforms() {
                 SchedImpl::Sharded { threads },
             );
             assert_clean(&label, &o);
-            assert_eq!(o.result, base.result, "{label}: result");
+            assert_eq!(o.result(), base.result(), "{label}: result");
             assert_eq!(o.makespan, base.makespan, "{label}: makespan");
             assert_state_close(&label, &o.objects, &base.objects);
             // The §4.1 guard must engage under the sharded executor too.
@@ -293,7 +283,7 @@ fn sharded_config_conforms() {
             }
         }
     }
-    for kernel in APP_KERNELS {
+    for kernel in KERNELS {
         let reference = run_app(
             kernel,
             ExecMode::ParallelOnly,
@@ -301,7 +291,7 @@ fn sharded_config_conforms() {
             TieBreak::Det,
         );
         let base = run_app(kernel, ExecMode::Hybrid, InterfaceSet::Full, TieBreak::Det);
-        for threads in [2usize, 4] {
+        for threads in THREADS {
             let label = format!("{kernel}/sharded{threads}");
             let o = run_app_sched(
                 kernel,
@@ -333,7 +323,7 @@ fn replay_is_sched_impl_invariant() {
         TieBreak::Seeded(0x5EED_5041_11E1),
     );
     assert_clean("sor/seeded-for-sharded-replay", &sampled);
-    for threads in [2usize, 4] {
+    for threads in THREADS {
         let label = format!("sor/replay-under-sharded{threads}");
         let replayed = run_app_sched(
             "sor",
@@ -359,7 +349,7 @@ fn deep_chain_reverts_to_parallel() {
     let m = micro_deep_chain();
     let o = run_micro(&m, ExecMode::Hybrid, TieBreak::Det);
     assert_clean("deep-chain", &o);
-    assert_eq!(o.result, Some(Value::Int(64)), "deep chain result");
+    assert_eq!(o.result(), Some(Value::Int(64)), "deep chain result");
     let t = o.stats.totals();
     assert!(
         t.ctx_alloc > 0,

@@ -44,7 +44,7 @@ fn app_program(kernel: &str) -> Program {
 /// interface is used at all.
 #[test]
 fn downgrade_ladder_preserves_final_state() {
-    for kernel in APP_KERNELS {
+    for kernel in KERNELS {
         let reference = run_app(
             kernel,
             ExecMode::ParallelOnly,
@@ -72,7 +72,7 @@ fn downgrade_ladder_under_sampled_schedules() {
         base ^= s;
         splitmix64(&mut base);
     }
-    for kernel in APP_KERNELS {
+    for kernel in KERNELS {
         let reference = run_app(
             kernel,
             ExecMode::ParallelOnly,
@@ -99,7 +99,7 @@ fn downgrade_ladder_under_sampled_schedules() {
 /// every rung of the ladder, for every app kernel.
 #[test]
 fn histogram_sums_to_method_count() {
-    for kernel in APP_KERNELS {
+    for kernel in KERNELS {
         let program = app_program(kernel);
         let analysis = Analysis::analyze(&program);
         for set in SETS {
@@ -120,7 +120,7 @@ fn histogram_sums_to_method_count() {
 /// toward CP.
 #[test]
 fn clamp_is_monotone_per_method() {
-    for kernel in APP_KERNELS {
+    for kernel in KERNELS {
         let program = app_program(kernel);
         let analysis = Analysis::analyze(&program);
         let full = analysis.schemas(InterfaceSet::Full);

@@ -18,15 +18,16 @@
 //! * the persistent pool survives `run_until` chunks (serve mode) with
 //!   zero `Runtime` moves and zero coordinator round-trips.
 
+mod common;
+
+use common::{assert_bit_identical, Cfg, Exec, Outcome, EVENT_INDEX, THREADS};
 use hem::analysis::InterfaceSet;
-use hem::core::trace::TraceRecord;
-use hem::core::{ExecMode, Runtime, SchedImpl};
+use hem::core::{ExecMode, Runtime};
 use hem::ir::{BinOp, MethodId, ObjRef, ProgramBuilder, Value};
 use hem::machine::cost::CostModel;
 use hem::machine::fault::FaultPlan;
-use hem::machine::stats::MachineStats;
 use hem::machine::NodeId;
-use hem::obs::{Report, Rollup};
+use hem::obs::Rollup;
 use hem_bench::serve::ServeConfig;
 
 const P: u32 = 8;
@@ -96,43 +97,28 @@ struct SkewedIds {
     cold_root: ObjRef,
 }
 
-struct Outcome {
-    makespan: u64,
-    stats: MachineStats,
-    trace: Vec<TraceRecord>,
-    report: String,
-}
-
 /// Run the skewed kernel: a token lap around the cold ring, then the
 /// heavy hot-pair exchange (two executor entries, so the pool also sees
 /// a reuse).
 fn run_skewed(
-    sched: SchedImpl,
+    exec: Exec,
     weights: Option<Vec<u64>>,
     plan: Option<&FaultPlan>,
 ) -> (Outcome, Runtime) {
     let (mut rt, ids) = skewed_runtime();
-    rt.sched_impl = sched;
-    rt.enable_trace();
-    rt.attach_observer(Box::new(Rollup::new()));
-    if let Some(p) = plan {
-        rt.set_fault_plan(p.clone());
+    Cfg {
+        exec,
+        plan,
+        rollup: true,
+        ..Cfg::default()
     }
+    .arm(&mut rt);
     rt.set_shard_weights(weights);
     rt.call(ids.cold_root, ids.bounce, &[Value::Int(6)])
         .expect("cold lap");
     rt.call(ids.hot_root, ids.bounce, &[Value::Int(120)])
         .expect("hot exchange");
-    let stats = rt.stats();
-    let any: Box<dyn std::any::Any> = rt.take_observer().expect("rollup attached");
-    let rollup = any.downcast::<Rollup>().expect("a Rollup");
-    let report = Report::new("skewed", &rollup, &stats, rt.program(), rt.schemas()).text();
-    let out = Outcome {
-        makespan: rt.makespan(),
-        stats,
-        trace: rt.take_trace(),
-        report,
-    };
+    let out = Outcome::capture(&mut rt, "skewed", Vec::new());
     (out, rt)
 }
 
@@ -150,33 +136,6 @@ fn pilot_weights() -> Vec<u64> {
     rollup.node_busy_weights(P)
 }
 
-fn assert_bit_identical(label: &str, base: &Outcome, other: &Outcome) {
-    assert_eq!(base.makespan, other.makespan, "{label}: makespan");
-    assert_eq!(
-        base.stats.node_time, other.stats.node_time,
-        "{label}: per-node clocks"
-    );
-    assert_eq!(
-        base.stats.per_node, other.stats.per_node,
-        "{label}: per-node counters"
-    );
-    assert_eq!(base.stats.net, other.stats.net, "{label}: net stats");
-    if let Some(i) =
-        (0..base.trace.len().min(other.trace.len())).find(|&i| base.trace[i] != other.trace[i])
-    {
-        panic!(
-            "{label}: traces diverge at record {i}:\n  base:  {:?}\n  other: {:?}",
-            base.trace[i], other.trace[i]
-        );
-    }
-    assert_eq!(base.trace.len(), other.trace.len(), "{label}: trace length");
-    assert_eq!(
-        base.stats.sched.events_dispatched, other.stats.sched.events_dispatched,
-        "{label}: events dispatched"
-    );
-    assert_eq!(base.report, other.report, "{label}: rollup report text");
-}
-
 /// (a) Bit-identity on the skewed placement, equal-slice and
 /// profile-guided maps alike, with and without a fault plan.
 #[test]
@@ -184,21 +143,18 @@ fn skewed_placement_stays_bit_identical() {
     let weights = pilot_weights();
     let plans = [None, Some(FaultPlan::seeded(0xC0FFEE))];
     for plan in &plans {
-        let (base, _) = run_skewed(SchedImpl::EventIndex, None, plan.as_ref());
-        for threads in [2usize, 4] {
+        let (base, _) = run_skewed(EVENT_INDEX, None, plan.as_ref());
+        for threads in THREADS {
             let label = |map: &str| {
                 format!(
                     "skewed/{map}/threads{threads}{}",
                     if plan.is_some() { "/faulty" } else { "" }
                 )
             };
-            let (even, _) = run_skewed(SchedImpl::Sharded { threads }, None, plan.as_ref());
+            let (even, _) = run_skewed(Exec::sharded(threads), None, plan.as_ref());
             assert_bit_identical(&label("even"), &base, &even);
-            let (prof, _) = run_skewed(
-                SchedImpl::Sharded { threads },
-                Some(weights.clone()),
-                plan.as_ref(),
-            );
+            let (prof, _) =
+                run_skewed(Exec::sharded(threads), Some(weights.clone()), plan.as_ref());
             assert_bit_identical(&label("profile"), &base, &prof);
         }
     }
@@ -225,7 +181,7 @@ fn profile_guided_map_splits_the_hot_slice() {
         busy
     };
 
-    let (_, rt_even) = run_skewed(SchedImpl::Sharded { threads: 2 }, None, None);
+    let (_, rt_even) = run_skewed(Exec::sharded(2), None, None);
     let even = rt_even.shard_plan(2);
     assert_eq!(
         even[0], even[1],
@@ -233,11 +189,7 @@ fn profile_guided_map_splits_the_hot_slice() {
     );
     let even_peak = *shard_busy(&even, 2).iter().max().unwrap();
 
-    let (_, rt_prof) = run_skewed(
-        SchedImpl::Sharded { threads: 2 },
-        Some(weights.clone()),
-        None,
-    );
+    let (_, rt_prof) = run_skewed(Exec::sharded(2), Some(weights.clone()), None);
     let prof = rt_prof.shard_plan(2);
     assert!(
         prof.windows(2).all(|ab| ab[0] <= ab[1]),

@@ -22,14 +22,17 @@
 //!
 //! Seeds come from `HYBRID_TEST_SEED` when set, else a built-in trio.
 
-mod kernel_matrix;
+mod common;
 
-use hem::analysis::InterfaceSet;
-use hem::apps::sync;
-use hem::core::{ExecMode, Runtime, SchedImpl};
-use hem::machine::cost::CostModel;
+use common::{
+    assert_bit_identical, run_rollup as run, seeds, Exec, Machine, EVENT_INDEX, KERNELS, THREADS,
+};
+use hem::core::SchedImpl;
 use hem::machine::fault::FaultPlan;
-use kernel_matrix::{assert_bit_identical, run_kernel, seeds, Machine, KERNELS, THREADS};
+
+fn speculative(threads: usize) -> Exec {
+    Exec::Sched(SchedImpl::Speculative { threads })
+}
 
 /// Fault-free matrix: every kernel × every pinned seed, the alias at 2
 /// and 4 threads vs the single-threaded event index, and its scheduler
@@ -38,13 +41,13 @@ use kernel_matrix::{assert_bit_identical, run_kernel, seeds, Machine, KERNELS, T
 fn speculative_matches_event_index_on_all_kernels() {
     for kernel in KERNELS {
         for seed in seeds() {
-            let run = |sched| run_kernel(kernel, seed, sched, None, Machine::Native);
-            let base = run(SchedImpl::EventIndex);
+            let run = |exec| run(kernel, seed, exec, None, Machine::Native);
+            let base = run(EVENT_INDEX);
             for threads in THREADS {
                 let label = format!("{kernel}/seed{seed}/threads{threads}");
-                let sp = run(SchedImpl::Speculative { threads });
+                let sp = run(speculative(threads));
                 assert_bit_identical(&label, &base, &sp);
-                let sh = run(SchedImpl::Sharded { threads });
+                let sh = run(Exec::sharded(threads));
                 assert_eq!(
                     sh.stats.sched, sp.stats.sched,
                     "{label}: the alias must run the sharded engine"
@@ -64,10 +67,10 @@ fn speculative_matches_event_index_under_faults() {
             plan.drop_permille = 20;
             plan.dup_permille = 20;
             plan.jitter_max = 80;
-            let run = |sched| run_kernel(kernel, seed, sched, Some(&plan), Machine::Native);
-            let base = run(SchedImpl::EventIndex);
+            let run = |exec| run(kernel, seed, exec, Some(&plan), Machine::Native);
+            let base = run(EVENT_INDEX);
             for threads in THREADS {
-                let sp = run(SchedImpl::Speculative { threads });
+                let sp = run(speculative(threads));
                 assert_bit_identical(
                     &format!("{kernel}/seed{seed}/faulty/threads{threads}"),
                     &base,
@@ -86,13 +89,13 @@ fn speculative_matches_event_index_under_faults() {
 #[test]
 fn speculative_wins_the_zero_lookahead_regime_bit_identically() {
     for kernel in ["sor", "sync"] {
-        let run = |sched| run_kernel(kernel, 1, sched, None, Machine::ZeroLookahead);
-        let base = run(SchedImpl::EventIndex);
-        let sh = run(SchedImpl::Sharded { threads: 4 });
+        let run = |exec| run(kernel, 1, exec, None, Machine::ZeroLookahead);
+        let base = run(EVENT_INDEX);
+        let sh = run(Exec::sharded(4));
         assert_bit_identical(&format!("{kernel}/unit/sharded4"), &base, &sh);
         for threads in THREADS {
             let label = format!("{kernel}/unit/threads{threads}");
-            let sp = run(SchedImpl::Speculative { threads });
+            let sp = run(speculative(threads));
             assert_bit_identical(&label, &base, &sp);
             assert_eq!(
                 sp.stats.sched.windows, 0,
@@ -107,10 +110,10 @@ fn speculative_wins_the_zero_lookahead_regime_bit_identically() {
 /// the node count clamp and still reproduce the baseline.
 #[test]
 fn degenerate_thread_counts_match() {
-    let run = |sched| run_kernel("sor", 1, sched, None, Machine::Native);
-    let base = run(SchedImpl::EventIndex);
+    let run = |exec| run("sor", 1, exec, None, Machine::Native);
+    let base = run(EVENT_INDEX);
     for threads in [0usize, 1, 16, 64] {
-        let sp = run(SchedImpl::Speculative { threads });
+        let sp = run(speculative(threads));
         assert_bit_identical(&format!("sor/degenerate/threads{threads}"), &base, &sp);
         if threads <= 1 {
             assert_eq!(
@@ -125,29 +128,11 @@ fn degenerate_thread_counts_match() {
 /// count clamps to one worker and falls back to the event index.
 #[test]
 fn single_node_machine_matches() {
-    let run = |sched: SchedImpl| {
-        let ids = sync::build();
-        let mut rt = Runtime::new(
-            ids.program.clone(),
-            1,
-            CostModel::cm5(),
-            ExecMode::Hybrid,
-            InterfaceSet::Full,
-        )
-        .unwrap();
-        rt.sched_impl = sched;
-        rt.enable_trace();
-        let inst = sync::setup(&mut rt, &ids, 1);
-        rt.call(inst.drivers[0], ids.fan, &[]).unwrap();
-        sync::run_rendezvous(&mut rt, &inst).unwrap();
-        (rt.makespan(), rt.take_trace(), rt.stats())
-    };
-    let (mk, tr, st) = run(SchedImpl::EventIndex);
-    for threads in [2usize, 4] {
-        let (mk2, tr2, st2) = run(SchedImpl::Speculative { threads });
-        assert_eq!(mk, mk2, "P=1 threads={threads}: makespan");
-        assert_eq!(tr, tr2, "P=1 threads={threads}: trace");
-        assert_eq!(st.per_node, st2.per_node, "P=1 threads={threads}: counters");
-        assert_eq!(st2.sched.windows, 0, "P=1 cannot window");
+    let run = |exec| run("sync", 1, exec, None, Machine::SingleNode);
+    let base = run(EVENT_INDEX);
+    for threads in THREADS {
+        let sp = run(speculative(threads));
+        assert_bit_identical(&format!("sync/P=1/threads{threads}"), &base, &sp);
+        assert_eq!(sp.stats.sched.windows, 0, "P=1 cannot window");
     }
 }
