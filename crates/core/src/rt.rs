@@ -913,10 +913,14 @@ impl Runtime {
 
     /// Inject a packet into the interconnect and drain it straight into
     /// the destination inbox. The wire is drained once per injection — the
-    /// `Network` heap assigns the global sequence number, applies the fault
-    /// plan, and keeps traffic stats, but packets never sit in it across
-    /// scheduler iterations, so the dispatch loop does not need to re-drain
-    /// it per event.
+    /// `Network` heap applies the fault plan and keeps traffic stats, but
+    /// packets never sit in it across scheduler iterations, so the
+    /// dispatch loop does not need to re-drain it per event.
+    ///
+    /// This is the only emitter of [`crate::trace::TraceEvent::MsgSent`]:
+    /// one record per injection, stamped with the copy's wire id, which
+    /// every later record about the copy (its drop, duplicate, handle, or
+    /// suppression) repeats.
     fn inject(
         &mut self,
         from: usize,
@@ -934,6 +938,23 @@ impl Runtime {
         let wseq = self.nodes[from].wire_seq;
         self.nodes[from].wire_seq += 1;
         let seq = (wseq << 20) | src.0 as u64;
+        let retx = class == hem_machine::net::WireClass::Retx;
+        let cause = match &pkt {
+            Packet::Ack { .. } => crate::trace::MsgCause::Ack,
+            _ if retx => crate::trace::MsgCause::Retransmit,
+            Packet::Raw(msg) | Packet::Data { msg, .. } => msg.cause(),
+        };
+        self.emit(
+            from,
+            crate::trace::TraceEvent::MsgSent {
+                from: src,
+                to: dest,
+                words,
+                cause,
+                req: self.current_req,
+                wire: seq,
+            },
+        );
         let fate = self
             .net
             .send_tagged(seq, src, dest, deliver, words, class, pkt);
@@ -943,6 +964,7 @@ impl Runtime {
                 crate::trace::TraceEvent::MsgDropped {
                     from: src,
                     to: dest,
+                    wire: seq,
                     partitioned: fate.partitioned,
                 },
             );
@@ -952,6 +974,7 @@ impl Runtime {
                 crate::trace::TraceEvent::MsgDuplicated {
                     from: src,
                     to: dest,
+                    wire: seq,
                 },
             );
         }
@@ -959,7 +982,6 @@ impl Runtime {
         // sending step's blame tag is still current — stamp it (and the
         // retransmission class) onto each inbox entry so the receiving
         // step can pick the tag up without widening the wire format.
-        let retx = class == hem_machine::net::WireClass::Retx;
         while let Some(m) = self.net.pop() {
             let d = m.dest.idx();
             let entry = InboxEntry {
@@ -1045,16 +1067,6 @@ impl Runtime {
         let ctr = self.ctr(from);
         ctr.msgs_sent += 1;
         ctr.req_words_sent += words;
-        self.emit(
-            from,
-            crate::trace::TraceEvent::MsgSent {
-                from: self.nodes[from].id,
-                to: dest,
-                words,
-                cause: crate::trace::MsgCause::Request,
-                req: self.current_req,
-            },
-        );
         let deliver = self.nodes[from].time + self.cost.msg_latency;
         self.transmit(
             from,
@@ -1084,16 +1096,6 @@ impl Runtime {
         let ctr = self.ctr(from);
         ctr.replies_sent += 1;
         ctr.reply_words_sent += words;
-        self.emit(
-            from,
-            crate::trace::TraceEvent::MsgSent {
-                from: self.nodes[from].id,
-                to: dest,
-                words,
-                cause: crate::trace::MsgCause::Reply,
-                req: self.current_req,
-            },
-        );
         let deliver = self.nodes[from].time + self.cost.reply_latency;
         self.transmit(
             from,
@@ -1133,36 +1135,36 @@ impl Runtime {
             let e = self.nodes[node].inbox.pop().expect("peeked entry");
             let saved = self.current_task;
             let saved_req = self.current_req;
-            let r = self.handle_packet(node, e.src, e.msg, e.req, e.deliver, e.retx);
+            let r = self.handle_packet(node, e);
             self.current_task = saved;
             self.current_req = saved_req;
             r?;
         }
     }
 
-    /// Transport-level receive processing on `node` for a packet from
-    /// `src`: charges handler entry, acknowledges and duplicate-suppresses
-    /// data frames, retires pending state on acks, and runs any payload
-    /// through [`Self::handle_msg`]. Raw packets take the legacy path
-    /// unchanged. `req`/`deliver`/`retx` come from the consumed
-    /// [`InboxEntry`]: the originating request's blame tag (which becomes
-    /// the current tag for all work this handling triggers), the wire
-    /// delivery time, and whether the consumed copy was a retransmission.
-    fn handle_packet(
-        &mut self,
-        node: usize,
-        src: NodeId,
-        pkt: Packet,
-        req: u64,
-        deliver: Cycles,
-        retx: bool,
-    ) -> Result<(), Trap> {
-        self.current_req = req;
-        match pkt {
+    /// Transport-level receive processing on `node` of the consumed inbox
+    /// entry `e`: charges handler entry, acknowledges and
+    /// duplicate-suppresses data frames, retires pending state on acks,
+    /// and runs any payload through [`Self::handle_msg`]. Raw packets take
+    /// the legacy path unchanged. The entry's blame tag becomes the
+    /// current tag for all work this handling triggers.
+    fn handle_packet(&mut self, node: usize, e: InboxEntry) -> Result<(), Trap> {
+        let src = e.src;
+        self.current_req = e.req;
+        let handled = move |cause| crate::trace::TraceEvent::MsgHandled {
+            node: NodeId(node as u32),
+            from: src,
+            wire: e.seq,
+            cause,
+            req: e.req,
+            deliver: e.deliver,
+            retx: e.retx,
+        };
+        match e.msg {
             Packet::Raw(msg) => {
                 self.charge(node, self.cost.handler);
                 self.ctr(node).msgs_handled += 1;
-                self.emit_handled(node, src, &msg, req, deliver, retx);
+                self.emit(node, handled(msg.cause()));
                 self.handle_msg(node, msg)
             }
             Packet::Data { seq, msg } => {
@@ -1171,16 +1173,6 @@ impl Runtime {
                 // and a duplicate often means the original's ack was lost.
                 self.charge(node, self.cost.ack_overhead);
                 self.ctr(node).acks_sent += 1;
-                self.emit(
-                    node,
-                    crate::trace::TraceEvent::MsgSent {
-                        from: NodeId(node as u32),
-                        to: src,
-                        words: 1,
-                        cause: crate::trace::MsgCause::Ack,
-                        req,
-                    },
-                );
                 let deliver_ack = self.nodes[node].time + self.cost.reply_latency;
                 self.inject(
                     node,
@@ -1197,29 +1189,19 @@ impl Runtime {
                         crate::trace::TraceEvent::DupSuppressed {
                             node: NodeId(node as u32),
                             from: src,
+                            wire: e.seq,
                         },
                     );
                     return Ok(());
                 }
                 self.ctr(node).msgs_handled += 1;
-                self.emit_handled(node, src, &msg, req, deliver, retx);
+                self.emit(node, handled(msg.cause()));
                 self.handle_msg(node, msg)
             }
             Packet::Ack { seq } => {
                 self.charge(node, self.cost.ack_overhead);
                 self.ctr(node).acks_handled += 1;
-                self.emit(
-                    node,
-                    crate::trace::TraceEvent::MsgHandled {
-                        node: NodeId(node as u32),
-                        from: src,
-                        words: 1,
-                        cause: crate::trace::MsgCause::Ack,
-                        req,
-                        deliver,
-                        retx,
-                    },
-                );
+                self.emit(node, handled(crate::trace::MsgCause::Ack));
                 let n = &mut self.nodes[node];
                 // A stale ack (retransmit raced the first ack) finds no
                 // pending entry; that is fine.
@@ -1229,35 +1211,6 @@ impl Runtime {
                 Ok(())
             }
         }
-    }
-
-    /// Emit the [`crate::trace::TraceEvent::MsgHandled`] record for a
-    /// delivered application payload.
-    #[inline]
-    fn emit_handled(
-        &mut self,
-        node: usize,
-        src: NodeId,
-        msg: &Msg,
-        req: u64,
-        deliver: Cycles,
-        retx: bool,
-    ) {
-        if !self.tracing_active() {
-            return;
-        }
-        self.emit(
-            node,
-            crate::trace::TraceEvent::MsgHandled {
-                node: NodeId(node as u32),
-                from: src,
-                words: msg.words(),
-                cause: msg.cause(),
-                req,
-                deliver,
-                retx,
-            },
-        );
     }
 
     /// Is a copy of frame `(node → dest, seq)` still in flight — the data
@@ -1324,19 +1277,6 @@ impl Runtime {
                         node: NodeId(node as u32),
                         to: NodeId(dest),
                         attempt,
-                    },
-                );
-                // The wire-accounting record for the fresh copy (one
-                // `MsgSent` per injection; the `Retransmit` event above is
-                // the protocol-level record).
-                self.emit(
-                    node,
-                    crate::trace::TraceEvent::MsgSent {
-                        from: NodeId(node as u32),
-                        to: NodeId(dest),
-                        words,
-                        cause: crate::trace::MsgCause::Retransmit,
-                        req,
                     },
                 );
             }
@@ -1463,16 +1403,6 @@ impl Runtime {
             ctr.msgs_sent += 1;
             ctr.coll_legs_sent += 1;
             ctr.coll_words_sent += words;
-            self.emit(
-                node,
-                crate::trace::TraceEvent::MsgSent {
-                    from: src,
-                    to: leg.dest,
-                    words,
-                    cause: kind.cause(),
-                    req: self.current_req,
-                },
-            );
             let hops = if skip_hops { 1 } else { leg.depth } as Cycles;
             let latency = self.cost.msg_latency * hops;
             let deliver = self.nodes[node].time + latency;
@@ -1580,23 +1510,12 @@ impl Runtime {
     /// collective wire words.
     fn send_coll_up(&mut self, from: usize, dest: NodeId, msg: Msg) -> Result<(), Trap> {
         let words = msg.words();
-        let cause = msg.cause();
         let c = self.cost.reply_send + self.cost.reply_word * words;
         self.charge(from, c);
         let ctr = self.ctr(from);
         ctr.msgs_sent += 1;
         ctr.coll_legs_sent += 1;
         ctr.coll_words_sent += words;
-        self.emit(
-            from,
-            crate::trace::TraceEvent::MsgSent {
-                from: self.nodes[from].id,
-                to: dest,
-                words,
-                cause,
-                req: self.current_req,
-            },
-        );
         let deliver = self.nodes[from].time + self.cost.reply_latency;
         self.transmit(
             from,
@@ -2339,7 +2258,7 @@ impl Runtime {
             self.nodes[i].time = t;
             self.current_req = e.req;
             self.emit_event_start(i, kind, e.req);
-            self.handle_packet(i, e.src, e.msg, e.req, e.deliver, e.retx)
+            self.handle_packet(i, e)
         } else if kind == 2 {
             self.nodes[i].time = t;
             self.current_req = 0;

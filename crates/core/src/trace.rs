@@ -121,9 +121,10 @@ pub enum TraceEvent {
         /// Node.
         node: NodeId,
     },
-    /// A message was injected into the interconnect. Every wire injection
-    /// emits exactly one `MsgSent` (including copies the fault plan then
-    /// loses), so the count of these events equals the network's `sent`
+    /// A message was injected into the interconnect. The runtime's one
+    /// injection point emits it, so there is exactly one `MsgSent` per
+    /// injection by construction (including copies the fault plan then
+    /// loses), and the count of these events equals the network's `sent`
     /// statistic.
     MsgSent {
         /// Sender.
@@ -132,8 +133,14 @@ pub enum TraceEvent {
         to: NodeId,
         /// Payload size in words (drives the per-word wire cost).
         words: u64,
-        /// What the message is (request/reply/ack/retransmit).
+        /// What the message is: `Ack` for transport acks, `Retransmit`
+        /// for a retransmitted copy, else the payload's own cause.
         cause: MsgCause,
+        /// Wire id of the injection, `(sender's wire sequence << 20) |
+        /// sender`. Every later record about a copy of this injection
+        /// (`MsgDuplicated`, `MsgDropped`, `MsgHandled`, `DupSuppressed`)
+        /// carries the same id, so sends join their fates exactly.
+        wire: u64,
         /// Blame tag: originating external request id + 1, or 0 when the
         /// send is not attributable to a request (closed-system kernels,
         /// internal bookkeeping). The tag rides the causal chain —
@@ -150,8 +157,11 @@ pub enum TraceEvent {
         node: NodeId,
         /// The message's sender.
         from: NodeId,
-        /// Payload size in words.
-        words: u64,
+        /// Wire id of the consumed copy (see [`TraceEvent::MsgSent`]).
+        /// External arrivals, which bypass the interconnect and have no
+        /// `MsgSent`, carry an id with bit 63 set. The payload size is a
+        /// fact of the send: join on this id to read it.
+        wire: u64,
         /// Payload kind; never [`MsgCause::Retransmit`] (a delivered
         /// retransmission carries its original payload).
         cause: MsgCause,
@@ -196,15 +206,21 @@ pub enum TraceEvent {
         from: NodeId,
         /// Intended destination.
         to: NodeId,
+        /// Wire id of the lost injection.
+        wire: u64,
         /// Lost to a partition window rather than random loss.
         partitioned: bool,
     },
-    /// The fault plan enqueued a second wire-level copy of a packet.
+    /// The fault plan enqueued a second wire-level copy of a packet. Both
+    /// copies share the injection's wire id, and each is later handled or
+    /// suppressed.
     MsgDuplicated {
         /// Sender.
         from: NodeId,
         /// Destination.
         to: NodeId,
+        /// Wire id of the duplicated injection.
+        wire: u64,
     },
     /// An unacknowledged data frame timed out and was retransmitted.
     Retransmit {
@@ -221,6 +237,8 @@ pub enum TraceEvent {
         node: NodeId,
         /// The frame's sender.
         from: NodeId,
+        /// Wire id of the discarded copy.
+        wire: u64,
     },
     /// A heap context was freed (its activation completed). Together with
     /// the allocation events (`ParInvoke`/`Fallback`) this delimits a
@@ -291,6 +309,10 @@ pub struct TraceRecord {
     /// The event.
     pub event: TraceEvent,
 }
+
+// Long traced runs buffer millions of records (serve-faults holds about
+// 2.25M), so every 8 bytes added here costs about 30 MB of peak RSS.
+const _: () = assert!(std::mem::size_of::<TraceRecord>() <= 48);
 
 /// A zero-virtual-time trace consumer, fed every [`TraceRecord`] as it is
 /// generated — the online analogue of draining the trace buffer, without
@@ -441,16 +463,6 @@ impl crate::rt::Runtime {
     /// Is an observer attached?
     pub fn observer_attached(&self) -> bool {
         self.observer.is_some()
-    }
-
-    /// Is any trace consumer live — the buffering trace, an observer, or
-    /// (in a shard worker) the coordinator's capture?
-    #[inline]
-    pub(crate) fn tracing_active(&self) -> bool {
-        match &self.shard {
-            Some(sh) => sh.record,
-            None => self.trace_buf.enabled() || self.observer.is_some(),
-        }
     }
 
     /// Record an event against a node's current virtual time.

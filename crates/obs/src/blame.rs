@@ -523,7 +523,7 @@ mod tests {
             TraceEvent::MsgHandled {
                 node: NodeId(node),
                 from: NodeId(0),
-                words: 3,
+                wire: 0,
                 cause: MsgCause::Request,
                 req: req + 1,
                 deliver,
@@ -541,6 +541,7 @@ mod tests {
                 words: 7,
                 cause: MsgCause::Request,
                 req: req + 1,
+                wire: 0,
             },
         )
     }
@@ -653,6 +654,7 @@ mod tests {
                     words: 7,
                     cause: MsgCause::Request,
                     req: 0,
+                    wire: 0,
                 },
             ),
             // A done for a request whose arrival we never saw.

@@ -168,7 +168,7 @@ pub fn critical_path_until(tl: &Timeline, horizon: Cycles) -> CriticalPath {
         let s = &steps[si - 1];
         if s.end >= time {
             // Inside the step (`start < time <= end`): charge its work,
-            // then decide what bound the step's start — a matched message
+            // then decide what bound the step's start — a joined message
             // arrival hops the walk to the sender at its send time.
             segments.push(Segment {
                 node,
@@ -214,10 +214,13 @@ pub fn critical_path_until(tl: &Timeline, horizon: Cycles) -> CriticalPath {
 }
 
 /// The message whose arrival bound the step's start time: the step's
-/// *dispatched* message is the first one handled in it (later entries are
-/// opportunistic nested deliveries during sends).
+/// *dispatched* message, which is the first one handled in it. Later
+/// entries are nested deliveries during sends and never bind the start,
+/// so a dispatched message with no send in the trace (an external
+/// arrival, or a send lost off a bounded ring) binds nothing.
 fn binding_arrival(s: &Step) -> Option<(u32, Cycles)> {
-    s.msgs.iter().find_map(|m| m.sent_at.map(|at| (m.from, at)))
+    let m = s.msgs.first()?;
+    Some((m.from, m.sent_at?))
 }
 
 fn gap_segment(tl: &Timeline, node: u32, a: Cycles, b: Cycles) -> Segment {
@@ -328,51 +331,53 @@ mod tests {
         TraceRecord { at, event }
     }
 
+    fn start(at: Cycles, node: u32, kind: u8) -> TraceRecord {
+        let node = NodeId(node);
+        rec(at, TraceEvent::EventStart { node, kind, req: 0 })
+    }
+
+    fn end(at: Cycles, node: u32) -> TraceRecord {
+        rec(at, TraceEvent::EventEnd { node: NodeId(node) })
+    }
+
+    fn sent(at: Cycles, from: u32, to: u32, wire: u64) -> TraceRecord {
+        rec(
+            at,
+            TraceEvent::MsgSent {
+                from: NodeId(from),
+                to: NodeId(to),
+                words: 2,
+                cause: MsgCause::Request,
+                req: 0,
+                wire,
+            },
+        )
+    }
+
+    fn handled(at: Cycles, node: u32, from: u32, wire: u64) -> TraceRecord {
+        rec(
+            at,
+            TraceEvent::MsgHandled {
+                node: NodeId(node),
+                from: NodeId(from),
+                wire,
+                cause: MsgCause::Request,
+                req: 0,
+                deliver: 0,
+                retx: false,
+            },
+        )
+    }
+
     /// Two nodes: n0 computes 0..10, sends at 7, n1 handles 15..20.
     fn two_node_tl() -> Timeline {
-        let a = NodeId(0);
-        let b = NodeId(1);
         let recs = vec![
-            rec(
-                0,
-                TraceEvent::EventStart {
-                    node: a,
-                    kind: KIND_LOCAL,
-                    req: 0,
-                },
-            ),
-            rec(
-                7,
-                TraceEvent::MsgSent {
-                    from: a,
-                    to: b,
-                    words: 2,
-                    cause: MsgCause::Request,
-                    req: 0,
-                },
-            ),
-            rec(10, TraceEvent::EventEnd { node: a }),
-            rec(
-                15,
-                TraceEvent::EventStart {
-                    node: b,
-                    kind: KIND_MSG,
-                    req: 0,
-                },
-            ),
-            rec(
-                15,
-                TraceEvent::MsgHandled {
-                    node: b,
-                    from: a,
-                    words: 2,
-                    cause: MsgCause::Request,
-                    req: 0,
-                    deliver: 0,
-                    retx: false,
-                },
-            ),
-            rec(20, TraceEvent::EventEnd { node: b }),
+            start(0, 0, KIND_LOCAL),
+            sent(7, 0, 1, 1),
+            end(10, 0),
+            start(15, 1, KIND_MSG),
+            handled(15, 1, 0, 1),
+            end(20, 1),
         ];
         Timeline::build(&recs, 2)
     }
@@ -416,30 +421,7 @@ mod tests {
     fn unmatched_start_falls_back_to_gap_classification() {
         // A handle with no recorded send (truncated ring): the walk can't
         // hop, so the pre-step gap is charged to the handling node.
-        let b = NodeId(0);
-        let recs = vec![
-            rec(
-                15,
-                TraceEvent::EventStart {
-                    node: b,
-                    kind: KIND_MSG,
-                    req: 0,
-                },
-            ),
-            rec(
-                15,
-                TraceEvent::MsgHandled {
-                    node: b,
-                    from: NodeId(9),
-                    words: 1,
-                    cause: MsgCause::Request,
-                    req: 0,
-                    deliver: 0,
-                    retx: false,
-                },
-            ),
-            rec(20, TraceEvent::EventEnd { node: b }),
-        ];
+        let recs = vec![start(15, 0, KIND_MSG), handled(15, 0, 9, 1), end(20, 0)];
         let tl = Timeline::build(&recs, 1);
         let cp = critical_path(&tl);
         assert_eq!(cp.total, tl.makespan);
@@ -448,29 +430,49 @@ mod tests {
     }
 
     #[test]
+    fn only_the_dispatched_message_binds_the_step_start() {
+        // n0's step dispatches an external arrival (no send in the trace)
+        // and, during a send, handles a nested message whose send on n1
+        // is in the trace. The nested send did not bind the step's start,
+        // so the walk must not hop to n1.
+        let recs = vec![
+            start(0, 1, KIND_LOCAL),
+            sent(3, 1, 0, 1),
+            end(5, 1),
+            start(15, 0, KIND_MSG),
+            handled(15, 0, 0, 1 << 63),
+            handled(17, 0, 1, 1),
+            end(20, 0),
+        ];
+        let tl = Timeline::build(&recs, 2);
+        assert_eq!(
+            tl.steps[0][0].msgs[1].sent_at,
+            Some(3),
+            "nested send joined"
+        );
+        let cp = critical_path(&tl);
+        assert_eq!(cp.total, tl.makespan);
+        let segs: Vec<_> = cp
+            .segments
+            .iter()
+            .map(|s| (s.node, s.class, s.start, s.end))
+            .collect();
+        assert_eq!(
+            segs,
+            vec![(0, SegClass::Idle, 0, 15), (0, SegClass::Dispatch, 15, 20)]
+        );
+    }
+
+    #[test]
     fn blocked_gaps_are_recognized() {
         let n = NodeId(0);
         let recs = vec![
-            rec(
-                0,
-                TraceEvent::EventStart {
-                    node: n,
-                    kind: KIND_LOCAL,
-                    req: 0,
-                },
-            ),
+            start(0, 0, KIND_LOCAL),
             rec(4, TraceEvent::Suspend { node: n, ctx: 0 }),
-            rec(5, TraceEvent::EventEnd { node: n }),
-            rec(
-                30,
-                TraceEvent::EventStart {
-                    node: n,
-                    kind: KIND_LOCAL,
-                    req: 0,
-                },
-            ),
+            end(5, 0),
+            start(30, 0, KIND_LOCAL),
             rec(30, TraceEvent::Resume { node: n, ctx: 0 }),
-            rec(42, TraceEvent::EventEnd { node: n }),
+            end(42, 0),
         ];
         let tl = Timeline::build(&recs, 1);
         let cp = critical_path(&tl);

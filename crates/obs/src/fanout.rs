@@ -78,6 +78,7 @@ mod tests {
                     words: 4,
                     cause: MsgCause::Request,
                     req: 1,
+                    wire: 0,
                 },
             },
             TraceRecord {

@@ -11,7 +11,7 @@
 //! | [`blame`] | per-request sojourn decomposition (queue/exec/wire/lock/retx), exact tiling, p99-tail view |
 //! | [`series`] | windowed virtual-time series: offered/completed rate, in-flight, queue depth, per-node occupancy |
 //! | [`fanout`] | an observer tee so one run can stream several of the above |
-//! | [`model`]  | a [`model::Timeline`]: scheduler steps, context spans, matched message flows |
+//! | [`model`]  | a [`model::Timeline`]: scheduler steps, context spans, exactly joined message flows |
 //! | [`perfetto`] | Chrome/Perfetto `trace_event` JSON of the timeline (plus series counter tracks) |
 //! | [`critpath`] | the longest virtual-time path through the happens-before DAG, plus per-node time breakdowns |
 //! | [`report`] | paper-Table-style text / JSON summaries built from a rollup |
@@ -118,6 +118,7 @@ pub fn describe(e: &TraceEvent, program: &hem_ir::Program) -> String {
             words,
             cause,
             req,
+            ..
         } => format!(
             "n{} -> n{} {} ({} words){}",
             from.0,
@@ -129,17 +130,17 @@ pub fn describe(e: &TraceEvent, program: &hem_ir::Program) -> String {
         TraceEvent::MsgHandled {
             node,
             from,
-            words,
+            wire,
             cause,
             req,
             retx,
             ..
         } => format!(
-            "n{} handled {} from n{} ({} words){}{}",
+            "n{} handled {} from n{} wire {}{}{}",
             node.0,
             cause,
             from.0,
-            words,
+            wire,
             if retx { " [retx copy]" } else { "" },
             req_suffix(req)
         ),
@@ -152,19 +153,20 @@ pub fn describe(e: &TraceEvent, program: &hem_ir::Program) -> String {
             from,
             to,
             partitioned,
+            ..
         } => format!(
             "n{} -> n{} DROPPED{}",
             from.0,
             to.0,
             if partitioned { " (partition)" } else { "" }
         ),
-        TraceEvent::MsgDuplicated { from, to } => {
+        TraceEvent::MsgDuplicated { from, to, .. } => {
             format!("n{} -> n{} duplicated on the wire", from.0, to.0)
         }
         TraceEvent::Retransmit { node, to, attempt } => {
             format!("n{} retransmit -> n{} (attempt {})", node.0, to.0, attempt)
         }
-        TraceEvent::DupSuppressed { node, from } => {
+        TraceEvent::DupSuppressed { node, from, .. } => {
             format!("n{} suppressed duplicate from n{}", node.0, from.0)
         }
         TraceEvent::CtxFreed { node, ctx } => format!("n{} freed ctx{}", node.0, ctx),

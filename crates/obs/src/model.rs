@@ -4,19 +4,22 @@
 //! a pair belong to the step. Records emitted *outside* any step come from
 //! root invocations driven by the harness (`Runtime::call` runs the first
 //! activation inline before the dispatch loop starts) and are folded into
-//! synthetic *root* steps. Message sends are matched to their handles
-//! FIFO per `(from, to, cause)` — exact on fault-free runs, where the
-//! interconnect delivers each link's traffic in order and nothing is
-//! dropped or duplicated; under an active fault plan the matching is best
-//! effort.
+//! synthetic *root* steps.
+//!
+//! Message sends join their handles exactly, on the wire id every wire
+//! record carries. A table maps each wire id to its send time and its
+//! live copies: `MsgSent` inserts an entry with one copy,
+//! `MsgDuplicated` adds a copy, and each fate record (`MsgHandled`,
+//! `DupSuppressed`, `MsgDropped`) consumes one, removing the entry at
+//! zero. The table therefore holds only copies still in flight. A handle
+//! whose send is not in the trace (an external arrival, or a send lost
+//! off the front of a bounded ring) has no send time and no flow.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use hem_core::{MsgCause, TraceEvent, TraceRecord};
 use hem_ir::MethodId;
 use hem_machine::Cycles;
-
-use crate::rollup::cause_idx;
 
 /// Step kinds: the dispatch-loop candidate kinds plus the synthetic root.
 pub const KIND_MSG: u8 = 0;
@@ -27,18 +30,12 @@ pub const KIND_TIMERS: u8 = 2;
 /// Synthetic: harness-driven root invocation outside the dispatch loop.
 pub const KIND_ROOT: u8 = 3;
 
-/// A message arrival consumed by a step, with its matched send when known.
+/// A message arrival consumed by a step, with its joined send when known.
 #[derive(Debug, Clone, Copy)]
 pub struct MsgIn {
     /// Sender node.
     pub from: u32,
-    /// Payload words.
-    pub words: u64,
-    /// Payload kind.
-    pub cause: MsgCause,
-    /// Receiver-side handle time.
-    pub at: Cycles,
-    /// Matched send time on the sender, when the send was in the trace.
+    /// Joined send time on the sender, when the send was in the trace.
     pub sent_at: Option<Cycles>,
 }
 
@@ -53,7 +50,9 @@ pub struct Step {
     pub start: Cycles,
     /// Clock after all work charged in the step.
     pub end: Cycles,
-    /// Messages handled within the step.
+    /// Messages handled within the step, in handle order: the first is
+    /// the dispatched one for a message step, later ones are nested
+    /// deliveries during sends.
     pub msgs: Vec<MsgIn>,
 }
 
@@ -88,7 +87,7 @@ pub struct CtxSpan {
     pub end: Option<Cycles>,
 }
 
-/// A matched send → handle pair.
+/// A joined send → handle pair.
 #[derive(Debug, Clone, Copy)]
 pub struct Flow {
     /// Sender.
@@ -101,8 +100,6 @@ pub struct Flow {
     pub handled_at: Cycles,
     /// Payload kind.
     pub cause: MsgCause,
-    /// Payload words.
-    pub words: u64,
 }
 
 /// An external request's sojourn through the machine (open-system mode):
@@ -144,7 +141,7 @@ pub struct Timeline {
     pub steps: Vec<Vec<Step>>,
     /// Context spans, in allocation order.
     pub ctx_spans: Vec<CtxSpan>,
-    /// Matched message flows, in handle order.
+    /// Joined message flows, in handle order.
     pub flows: Vec<Flow>,
     /// Per-node suspend intervals, in start order (may overlap when
     /// several contexts are suspended at once).
@@ -178,7 +175,8 @@ struct Builder {
     ctx_spans: Vec<CtxSpan>,
     open_ctx: HashMap<(u32, u32), usize>,
     flows: Vec<Flow>,
-    pending: HashMap<(u32, u32, usize), VecDeque<(Cycles, u64)>>,
+    /// Wire id → (send time, copies not yet consumed).
+    in_flight: HashMap<u64, (Cycles, u32)>,
     suspends: Vec<Vec<SuspendSpan>>,
     open_susp: HashMap<(u32, u32), usize>,
     requests: Vec<ReqSpan>,
@@ -195,7 +193,7 @@ impl Builder {
             ctx_spans: Vec::new(),
             open_ctx: HashMap::new(),
             flows: Vec::new(),
-            pending: HashMap::new(),
+            in_flight: HashMap::new(),
             suspends: vec![Vec::new(); n_nodes],
             open_susp: HashMap::new(),
             requests: Vec::new(),
@@ -297,34 +295,29 @@ impl Builder {
             TraceEvent::EventEnd { .. } => {
                 self.close_open(node, rec.at);
             }
-            TraceEvent::MsgSent {
-                from,
-                to,
-                words,
-                cause,
-                ..
-            } => {
+            TraceEvent::MsgSent { wire, .. } => {
                 self.touch_activity(node, rec.at);
-                self.pending
-                    .entry((from.0, to.0, cause_idx(cause)))
-                    .or_default()
-                    .push_back((rec.at, words));
+                self.in_flight.insert(wire, (rec.at, 1));
+            }
+            TraceEvent::MsgDuplicated { wire, .. } => {
+                self.touch_activity(node, rec.at);
+                if let Some((_, copies)) = self.in_flight.get_mut(&wire) {
+                    *copies += 1;
+                }
+            }
+            TraceEvent::DupSuppressed { wire, .. } | TraceEvent::MsgDropped { wire, .. } => {
+                self.touch_activity(node, rec.at);
+                self.consume(wire);
             }
             TraceEvent::MsgHandled {
                 node: n,
                 from,
-                words,
+                wire,
                 cause,
                 ..
             } => {
                 self.touch_activity(node, rec.at);
-                // FIFO match; a handle with no same-cause send left tries
-                // the retransmit queue (the original was lost, a retried
-                // copy delivered the payload).
-                let sent_at = self
-                    .pop_pending(from.0, n.0, cause_idx(cause))
-                    .or_else(|| self.pop_pending(from.0, n.0, cause_idx(MsgCause::Retransmit)))
-                    .map(|(at, _)| at);
+                let sent_at = self.consume(wire);
                 if let Some(sent_at) = sent_at {
                     self.flows.push(Flow {
                         from: from.0,
@@ -332,33 +325,15 @@ impl Builder {
                         to: n.0,
                         handled_at: rec.at,
                         cause,
-                        words,
                     });
                 }
                 let m = MsgIn {
                     from: from.0,
-                    words,
-                    cause,
-                    at: rec.at,
                     sent_at,
                 };
                 match &mut self.open[ni] {
                     Some(s) => s.msgs.push(m),
                     None => unreachable!("touch_activity opened a step"),
-                }
-            }
-            TraceEvent::DupSuppressed { node: n, from } => {
-                self.touch_activity(node, rec.at);
-                // The duplicate consumed a wire copy; prefer eating a
-                // retransmitted send so later real handles still match.
-                if self
-                    .pop_pending(from.0, n.0, cause_idx(MsgCause::Retransmit))
-                    .is_none()
-                    && self
-                        .pop_pending(from.0, n.0, cause_idx(MsgCause::Request))
-                        .is_none()
-                {
-                    let _ = self.pop_pending(from.0, n.0, cause_idx(MsgCause::Reply));
                 }
             }
             TraceEvent::ParInvoke { node, method, ctx }
@@ -419,8 +394,16 @@ impl Builder {
         }
     }
 
-    fn pop_pending(&mut self, from: u32, to: u32, cause: usize) -> Option<(Cycles, u64)> {
-        self.pending.get_mut(&(from, to, cause))?.pop_front()
+    /// Consume one copy of wire id `wire`, returning its send time when
+    /// the send is in the trace.
+    fn consume(&mut self, wire: u64) -> Option<Cycles> {
+        let (sent_at, copies) = self.in_flight.get_mut(&wire)?;
+        let sent_at = *sent_at;
+        *copies -= 1;
+        if *copies == 0 {
+            self.in_flight.remove(&wire);
+        }
+        Some(sent_at)
     }
 
     fn finish(mut self) -> Timeline {
@@ -500,6 +483,7 @@ mod tests {
                     words: 3,
                     cause: MsgCause::Request,
                     req: 0,
+                    wire: 0,
                 },
             ),
             rec(
@@ -519,142 +503,134 @@ mod tests {
         assert_eq!(tl.steps[0][1].kind, KIND_MSG);
     }
 
-    #[test]
-    fn sends_match_handles_fifo_per_link_and_cause() {
-        let a = NodeId(0);
-        let b = NodeId(1);
-        let recs = vec![
+    /// Wire id of `from`'s `k`-th injection.
+    fn wire(k: u64, from: NodeId) -> u64 {
+        (k << 20) | from.0 as u64
+    }
+
+    fn sent(at: Cycles, from: NodeId, to: NodeId, cause: MsgCause, wire: u64) -> TraceRecord {
+        rec(
+            at,
+            TraceEvent::MsgSent {
+                from,
+                to,
+                words: 2,
+                cause,
+                req: 0,
+                wire,
+            },
+        )
+    }
+
+    /// A message step on `node` at `at` that handles wire id `wire`.
+    fn handle_step(
+        at: Cycles,
+        node: NodeId,
+        from: NodeId,
+        cause: MsgCause,
+        wire: u64,
+    ) -> [TraceRecord; 3] {
+        [
             rec(
-                1,
-                TraceEvent::MsgSent {
-                    from: a,
-                    to: b,
-                    words: 2,
-                    cause: MsgCause::Request,
-                    req: 0,
-                },
-            ),
-            rec(
-                4,
-                TraceEvent::MsgSent {
-                    from: a,
-                    to: b,
-                    words: 9,
-                    cause: MsgCause::Request,
-                    req: 0,
-                },
-            ),
-            rec(
-                6,
+                at,
                 TraceEvent::EventStart {
-                    node: b,
+                    node,
                     kind: KIND_MSG,
                     req: 0,
                 },
             ),
             rec(
-                6,
+                at,
                 TraceEvent::MsgHandled {
-                    node: b,
-                    from: a,
-                    words: 2,
-                    cause: MsgCause::Request,
+                    node,
+                    from,
+                    wire,
+                    cause,
                     req: 0,
-                    deliver: 0,
+                    deliver: at,
                     retx: false,
                 },
             ),
-            rec(8, TraceEvent::EventEnd { node: b }),
-            rec(
-                9,
-                TraceEvent::EventStart {
-                    node: b,
-                    kind: KIND_MSG,
-                    req: 0,
-                },
-            ),
-            rec(
-                9,
-                TraceEvent::MsgHandled {
-                    node: b,
-                    from: a,
-                    words: 9,
-                    cause: MsgCause::Request,
-                    req: 0,
-                    deliver: 0,
-                    retx: false,
-                },
-            ),
-            rec(10, TraceEvent::EventEnd { node: b }),
-        ];
-        let tl = Timeline::build(&recs, 2);
-        assert_eq!(tl.flows.len(), 2);
-        assert_eq!((tl.flows[0].sent_at, tl.flows[0].handled_at), (1, 6));
-        assert_eq!((tl.flows[1].sent_at, tl.flows[1].handled_at), (4, 9));
-        assert_eq!(tl.steps[1][0].msgs[0].sent_at, Some(1));
+            rec(at + 1, TraceEvent::EventEnd { node }),
+        ]
+    }
+
+    /// Build the timeline, also returning how many wire ids the join
+    /// table still holds at the end.
+    fn build(recs: &[TraceRecord], n_nodes: usize) -> (Timeline, usize) {
+        let mut b = Builder::new(n_nodes);
+        for r in recs {
+            b.feed(r);
+        }
+        let left = b.in_flight.len();
+        (b.finish(), left)
     }
 
     #[test]
-    fn handle_of_a_lost_original_matches_the_retransmit() {
-        let a = NodeId(0);
-        let b = NodeId(1);
-        let recs = vec![
+    fn same_link_sends_handled_in_reverse_order_join_by_wire_id() {
+        // Two requests a → b of the same cause, handled in the opposite
+        // order (a deeper tree leg or jitter overtook the first). A FIFO
+        // per (from, to, cause) pairs them crosswise.
+        let (a, b) = (NodeId(0), NodeId(1));
+        let (w1, w2) = (wire(0, a), wire(1, a));
+        let mut recs = vec![
+            sent(1, a, b, MsgCause::Request, w1),
+            sent(4, a, b, MsgCause::Request, w2),
+        ];
+        recs.extend(handle_step(6, b, a, MsgCause::Request, w2));
+        recs.extend(handle_step(9, b, a, MsgCause::Request, w1));
+        let (tl, left) = build(&recs, 2);
+        let pairs: Vec<_> = tl.flows.iter().map(|f| (f.sent_at, f.handled_at)).collect();
+        assert_eq!(pairs, vec![(4, 6), (1, 9)]);
+        assert_eq!(tl.steps[1][0].msgs[0].sent_at, Some(4));
+        assert_eq!(left, 0);
+    }
+
+    #[test]
+    fn handle_of_a_lost_original_joins_the_retransmit() {
+        let (a, b) = (NodeId(0), NodeId(1));
+        let (orig, retx) = (wire(0, a), wire(1, a));
+        let mut recs = vec![
+            sent(1, a, b, MsgCause::Request, orig),
             rec(
                 1,
-                TraceEvent::MsgSent {
-                    from: a,
-                    to: b,
-                    words: 5,
-                    cause: MsgCause::Request,
-                    req: 0,
-                },
-            ),
-            rec(
-                2,
                 TraceEvent::MsgDropped {
                     from: a,
                     to: b,
+                    wire: orig,
                     partitioned: false,
                 },
             ),
-            rec(
-                40,
-                TraceEvent::MsgSent {
-                    from: a,
-                    to: b,
-                    words: 5,
-                    cause: MsgCause::Retransmit,
-                    req: 0,
-                },
-            ),
-            rec(
-                45,
-                TraceEvent::EventStart {
-                    node: b,
-                    kind: KIND_MSG,
-                    req: 0,
-                },
-            ),
-            rec(
-                45,
-                TraceEvent::MsgHandled {
-                    node: b,
-                    from: a,
-                    words: 5,
-                    cause: MsgCause::Request,
-                    req: 0,
-                    deliver: 0,
-                    retx: false,
-                },
-            ),
-            rec(46, TraceEvent::EventEnd { node: b }),
+            sent(40, a, b, MsgCause::Retransmit, retx),
         ];
-        let tl = Timeline::build(&recs, 2);
-        // The Request send at t=1 matches first (FIFO in cause class) —
-        // best-effort under faults; what matters is *a* flow exists and
-        // both queues drain.
+        recs.extend(handle_step(45, b, a, MsgCause::Request, retx));
+        let (tl, left) = build(&recs, 2);
         assert_eq!(tl.flows.len(), 1);
-        assert_eq!(tl.flows[0].handled_at, 45);
+        assert_eq!((tl.flows[0].sent_at, tl.flows[0].handled_at), (40, 45));
+        assert_eq!(left, 0, "the drop consumed the original's only copy");
+    }
+
+    #[test]
+    fn both_copies_of_a_duplicated_ack_join_the_one_send() {
+        let (a, b) = (NodeId(0), NodeId(1));
+        let w = wire(0, b);
+        let mut recs = vec![
+            sent(10, b, a, MsgCause::Ack, w),
+            rec(
+                10,
+                TraceEvent::MsgDuplicated {
+                    from: b,
+                    to: a,
+                    wire: w,
+                },
+            ),
+        ];
+        recs.extend(handle_step(20, a, b, MsgCause::Ack, w));
+        recs.extend(handle_step(30, a, b, MsgCause::Ack, w));
+        let (tl, left) = build(&recs, 2);
+        let pairs: Vec<_> = tl.flows.iter().map(|f| (f.sent_at, f.handled_at)).collect();
+        assert_eq!(pairs, vec![(10, 20), (10, 30)]);
+        assert_eq!(left, 0, "the second handle consumed the last copy");
     }
 
     #[test]

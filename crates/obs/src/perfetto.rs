@@ -7,7 +7,7 @@
 //! * each simulated node becomes a *process* (`pid` = node id) with two
 //!   tracks: `tid` 0 "sched" (scheduler steps as `X` complete slices) and
 //!   `tid` 1 "contexts" (heap-context residency as `b`/`e` async spans);
-//! * matched message flows become `s`/`f` flow arrows from the sender's
+//! * joined message flows become `s`/`f` flow arrows from the sender's
 //!   sched track to the receiver's;
 //! * fallbacks and shell adoptions become instant events — the moments
 //!   the hybrid model *adapted*.
@@ -355,6 +355,7 @@ mod tests {
                     words: 3,
                     cause: MsgCause::Request,
                     req: 0,
+                    wire: 0,
                 },
             },
             TraceRecord {
@@ -378,7 +379,7 @@ mod tests {
                 event: TraceEvent::MsgHandled {
                     node: b,
                     from: a,
-                    words: 3,
+                    wire: 0,
                     cause: MsgCause::Request,
                     req: 0,
                     deliver: 0,

@@ -587,6 +587,7 @@ mod tests {
                     words: 4,
                     cause: MsgCause::Request,
                     req: 0,
+                    wire: 0,
                 },
             },
         ];

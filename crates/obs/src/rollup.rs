@@ -774,6 +774,7 @@ mod tests {
                     words: 4,
                     cause: MsgCause::Request,
                     req: 0,
+                    wire: 0,
                 },
             ),
             rec(
@@ -784,6 +785,7 @@ mod tests {
                     words: 2,
                     cause: MsgCause::Reply,
                     req: 0,
+                    wire: 0,
                 },
             ),
             rec(
@@ -794,6 +796,7 @@ mod tests {
                     words: 1,
                     cause: MsgCause::Ack,
                     req: 0,
+                    wire: 0,
                 },
             ),
         ];
@@ -822,6 +825,7 @@ mod tests {
                         words: (from + to) as u64,
                         cause: MsgCause::Request,
                         req: 0,
+                        wire: 0,
                     },
                 ));
             }
@@ -851,6 +855,7 @@ mod tests {
                     words: 2,
                     cause: MsgCause::Request,
                     req: 0,
+                    wire: 0,
                 },
             ));
         }
@@ -862,6 +867,7 @@ mod tests {
                 words: 1,
                 cause: MsgCause::Reply,
                 req: 0,
+                wire: 0,
             },
         ));
         let links = r.per_link();
@@ -926,6 +932,7 @@ mod tests {
                     words: 3,
                     cause: MsgCause::Request,
                     req: 0,
+                    wire: 0,
                 },
             ));
             recs.push(rec(
@@ -933,7 +940,7 @@ mod tests {
                 TraceEvent::MsgHandled {
                     node: NodeId(n),
                     from: NodeId((n + 3) % 4),
-                    words: 3,
+                    wire: 0,
                     cause: MsgCause::Request,
                     req: 0,
                     deliver: 0,

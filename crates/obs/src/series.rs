@@ -297,7 +297,7 @@ mod tests {
                 TraceEvent::MsgHandled {
                     node: NodeId(0),
                     from: NodeId(1),
-                    words: 3,
+                    wire: 0,
                     cause: MsgCause::Request,
                     req: 1,
                     deliver: 90,

@@ -37,6 +37,7 @@ use hem::ir::Value;
 use hem::machine::cost::CostModel;
 use hem::machine::fault::FaultPlan;
 use hem::machine::NodeId;
+use std::collections::HashMap;
 
 /// Run one collectives-exercising kernel at P=16 on the small instances,
 /// with the rollup observer on. `seed` drives graph generation (EM3D).
@@ -225,17 +226,26 @@ fn multicast_legs_pay_per_hop_latency() {
     }
 
     let trace = rt.take_trace();
-    // First Multicast handled on each member node, with its payload size.
+    // Payload size of each injection, by wire id.
+    let sent_words: HashMap<u64, u64> = trace
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::MsgSent { wire, words, .. } => Some((wire, words)),
+            _ => None,
+        })
+        .collect();
+    // First Multicast handled on each member node, with the payload size
+    // of its joined send.
     let handled = |node: u32| -> (u64, u64) {
         trace
             .iter()
             .find_map(|r| match r.event {
                 TraceEvent::MsgHandled {
                     node: n,
-                    words,
+                    wire,
                     cause: MsgCause::Multicast,
                     ..
-                } if n.0 == node => Some((r.at, words)),
+                } if n.0 == node => Some((r.at, sent_words[&wire])),
                 _ => None,
             })
             .unwrap_or_else(|| panic!("no multicast leg handled on node {node}"))

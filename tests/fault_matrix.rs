@@ -20,6 +20,9 @@
 //!    (`msgs_sent + replies_sent == msgs_handled`), every received data
 //!    copy acked (`acks_sent == msgs_handled + dups_suppressed`), and no
 //!    context leaks.
+//! 5. **Causal completeness**: every wire copy has exactly one fate
+//!    record, every handle joins its send by wire id with the same
+//!    sender and blame tag, and the critical path tiles `[0, makespan]`.
 //!
 //! Seeds come from `HYBRID_TEST_SEED` when set (the seeded CI job pins
 //! three), else a built-in trio.
@@ -30,10 +33,13 @@ use common::{
     assert_bit_identical, assert_state_close, run_kernel, seeds, Cfg, Exec, Outcome, EVENT_INDEX,
     KERNELS, THREADS,
 };
+use hem::core::trace::TraceEvent;
 use hem::core::ExecMode;
 use hem::machine::fault::{FaultPlan, LinkWindow, NodeWindow};
+use hem::obs::{critical_path, Timeline};
 use hem::NodeId;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Run `kernel` at P=16 under `exec`, with `plan` installed (which also
 /// engages the reliable transport) or, fault-free, with the transport on
@@ -119,9 +125,70 @@ fn assert_conservation(label: &str, o: &Outcome) {
     );
 }
 
+/// Causal completeness of a quiescent run's trace. Every wire copy (one
+/// per `MsgSent`, plus one per `MsgDuplicated`) has exactly one fate
+/// record: handled, suppressed, or dropped. Every handle except an
+/// external arrival (wire id bit 63 set) joins a `MsgSent` with the same
+/// sender and blame tag. The critical path totals the makespan, and its
+/// segments tile `[0, makespan]`.
+fn assert_causal_completeness(label: &str, o: &Outcome) {
+    // Wire id → (sender, blame tag) of its send.
+    let mut sends = HashMap::new();
+    // Wire id → copies injected minus fates recorded.
+    let mut open: HashMap<u64, i64> = HashMap::new();
+    for rec in &o.trace {
+        match rec.event {
+            TraceEvent::MsgSent {
+                from, req, wire, ..
+            } => {
+                assert!(
+                    sends.insert(wire, (from, req)).is_none(),
+                    "{label}: wire id {wire:#x} sent twice"
+                );
+                *open.entry(wire).or_default() += 1;
+            }
+            TraceEvent::MsgDuplicated { wire, .. } => *open.entry(wire).or_default() += 1,
+            TraceEvent::MsgHandled { wire, .. } if wire >> 63 == 1 => {}
+            TraceEvent::MsgHandled {
+                from, req, wire, ..
+            } => {
+                assert_eq!(
+                    sends.get(&wire),
+                    Some(&(from, req)),
+                    "{label}: handle of wire id {wire:#x} joins no send with its sender and tag"
+                );
+                *open.entry(wire).or_default() -= 1;
+            }
+            TraceEvent::DupSuppressed { wire, .. } | TraceEvent::MsgDropped { wire, .. } => {
+                *open.entry(wire).or_default() -= 1
+            }
+            _ => {}
+        }
+    }
+    let mut unbalanced: Vec<_> = open.into_iter().filter(|&(_, n)| n != 0).collect();
+    unbalanced.sort_unstable();
+    assert!(
+        unbalanced.is_empty(),
+        "{label}: wire ids whose copies and fate records differ (id, copies - fates): \
+         {unbalanced:x?}"
+    );
+    let tl = Timeline::build(&o.trace, o.stats.per_node.len());
+    let cp = critical_path(&tl);
+    assert_eq!(cp.total, o.makespan, "{label}: critical path == makespan");
+    assert_eq!(cp.segments.first().map(|s| s.start), Some(0), "{label}");
+    assert_eq!(
+        cp.segments.last().map(|s| s.end),
+        Some(o.makespan),
+        "{label}"
+    );
+    for w in cp.segments.windows(2) {
+        assert_eq!(w[0].end, w[1].start, "{label}: contiguous segments");
+    }
+}
+
 /// The full matrix: every kernel × every fault plan × every seed, checked
-/// for scheduler equivalence, repeatability, conservation, and
-/// fault-transparency of the final object state.
+/// for scheduler equivalence, repeatability, conservation, causal
+/// completeness, and fault-transparency of the final object state.
 #[test]
 fn fault_matrix_semantics_invariant() {
     for kernel in KERNELS {
@@ -129,6 +196,8 @@ fn fault_matrix_semantics_invariant() {
         let clean_h = run(kernel, ExecMode::Hybrid, EVENT_INDEX, None);
         let clean_p = run(kernel, ExecMode::ParallelOnly, EVENT_INDEX, None);
         assert_conservation(&format!("{kernel}/clean/hybrid"), &clean_h);
+        assert_causal_completeness(&format!("{kernel}/clean/hybrid"), &clean_h);
+        assert_causal_completeness(&format!("{kernel}/clean/par"), &clean_p);
         assert_state_close(
             &format!("{kernel}: hybrid vs parallel-only final state (fault-free)"),
             &clean_h.objects,
@@ -147,6 +216,8 @@ fn fault_matrix_semantics_invariant() {
                 assert_bit_identical(&format!("{label}/par heap-vs-scan"), &p_heap, &p_scan);
                 assert_conservation(&format!("{label}/hybrid"), &h_heap);
                 assert_conservation(&format!("{label}/par"), &p_heap);
+                assert_causal_completeness(&format!("{label}/hybrid"), &h_heap);
+                assert_causal_completeness(&format!("{label}/par"), &p_heap);
                 // Faults perturb timing, never answers: final object state
                 // matches the fault-free run in both modes.
                 assert_state_close(
@@ -188,7 +259,6 @@ fn fault_matrix_semantics_invariant() {
 /// the stall fixpoint.
 #[test]
 fn duplicates_respect_stall_windows() {
-    use hem::core::trace::TraceEvent;
     const UNTIL: u64 = 20_000;
     for seed in seeds() {
         let mut plan = FaultPlan::seeded(seed);
@@ -220,6 +290,7 @@ fn duplicates_respect_stall_windows() {
             }
         }
         assert_conservation(&label, &o);
+        assert_causal_completeness(&label, &o);
     }
 }
 
@@ -240,6 +311,7 @@ fn sharded_matches_event_index_under_fault_grid() {
                 for threads in THREADS {
                     let sharded = run(kernel, ExecMode::Hybrid, Exec::sharded(threads), Some(plan));
                     assert_bit_identical(&format!("{label}/threads{threads}"), &base, &sharded);
+                    assert_causal_completeness(&format!("{label}/threads{threads}"), &sharded);
                 }
                 assert_conservation(&label, &base);
             }
@@ -293,9 +365,11 @@ proptest! {
         let scan = run("sync", ExecMode::Hybrid, Exec::Scan, Some(&plan));
         assert_bit_identical("random/heap-vs-scan", &heap, &scan);
         assert_conservation("random", &heap);
+        assert_causal_completeness("random", &heap);
         assert_state_close("random: state under faults", &heap.objects, &clean.objects);
         let par = run("sync", ExecMode::ParallelOnly, EVENT_INDEX, Some(&plan));
         assert_conservation("random/par", &par);
+        assert_causal_completeness("random/par", &par);
         assert_state_close("random: parallel-only state", &par.objects, &clean.objects);
     }
 }
