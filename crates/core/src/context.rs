@@ -64,10 +64,28 @@ pub struct ActFrame {
 }
 
 impl ActFrame {
-    /// Fresh frame for invoking `method` on `obj` with `args`.
-    pub fn new(method: MethodId, obj: ObjRef, nlocals: u16, nslots: u16, args: &[Value]) -> Self {
-        let mut locals = vec![Value::Nil; nlocals as usize];
-        locals[..args.len()].copy_from_slice(args);
+    /// Fresh frame for invoking `method` on `obj`. `locals` holds the
+    /// arguments and becomes the register file: it is padded with `Nil`
+    /// up to `nlocals` registers, which reuses its allocation when the
+    /// caller reserved that capacity.
+    ///
+    /// # Panics
+    /// If there are more arguments than registers. Every call site the
+    /// program contains is arity-checked by validation, and
+    /// `Runtime::call` checks a root call's arity before it gets here.
+    pub fn new(
+        method: MethodId,
+        obj: ObjRef,
+        mut locals: Vec<Value>,
+        nlocals: u16,
+        nslots: u16,
+    ) -> Self {
+        assert!(
+            locals.len() <= nlocals as usize,
+            "{} arguments exceed {nlocals} registers",
+            locals.len()
+        );
+        locals.resize(nlocals as usize, Value::Nil);
         ActFrame {
             method,
             obj,
@@ -219,9 +237,9 @@ mod tests {
                 node: NodeId(0),
                 index: 0,
             },
+            vec![Value::Int(7)],
             4,
             2,
-            &[Value::Int(7)],
         )
     }
 

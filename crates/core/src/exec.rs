@@ -31,9 +31,14 @@ pub(crate) fn read(fr: &ActFrame, op: &Operand) -> Value {
     }
 }
 
-/// Evaluate a list of operands.
-pub(crate) fn read_args(fr: &ActFrame, ops: &[Operand]) -> Vec<Value> {
-    ops.iter().map(|o| read(fr, o)).collect()
+/// Evaluate a call's argument operands into a vector reserved for the
+/// callee's `locals` registers, so that a local callee takes it over as
+/// its register file (`ActFrame::new`) without a second allocation.
+#[inline]
+pub(crate) fn read_args(fr: &ActFrame, ops: &[Operand], locals: u16) -> Vec<Value> {
+    let mut v = Vec::with_capacity(ops.len().max(locals as usize));
+    v.extend(ops.iter().map(|o| read(fr, o)));
+    v
 }
 
 /// Execute one of the mode-independent instructions. The caller has
@@ -43,6 +48,11 @@ pub(crate) fn read_args(fr: &ActFrame, ops: &[Operand]) -> Vec<Value> {
 /// # Panics
 /// On instructions that are mode-specific (`Invoke`, `Touch`, terminators,
 /// `StoreCont`) — the interpreters dispatch those before calling here.
+///
+/// Always inlined: both interpreter loops dispatch their common
+/// instructions (`Mov`, `Bin`, `Br`, ...) through here, and a call per
+/// instruction would cost as much as the instruction itself.
+#[inline(always)]
 pub(crate) fn exec_simple(
     rt: &mut Runtime,
     node: usize,

@@ -21,7 +21,7 @@ use crate::object::{DeferredInvoke, LockHolder};
 use crate::rt::{ActiveCtx, Runtime};
 use crate::seq::{self, SeqOutcome};
 use crate::ExecMode;
-use hem_ir::{ContRef, Instr, MethodId, Value};
+use hem_ir::{ContRef, Instr, MethodId, Program, Value};
 use hem_machine::NodeId;
 
 /// Result of stepping a context.
@@ -120,8 +120,8 @@ fn step_loop(
                 hint: _,
             } => {
                 let tv = exec::read(fr, target);
-                let a = exec::read_args(fr, args);
-                par_invoke(rt, node, id, gen, fr, *slot, tv, *callee, a)?;
+                let a = exec::read_args(fr, args, rt.callee(*callee).locals);
+                par_invoke(rt, &prog, node, id, gen, fr, *slot, tv, *callee, a)?;
                 fr.pc += 1;
             }
             Instr::Touch { slots } => {
@@ -143,7 +143,7 @@ fn step_loop(
                 args,
             } => {
                 let members = exec::read_group(rt, fr, node, *group)?;
-                let a = exec::read_args(fr, args);
+                let a = exec::read_args(fr, args, rt.callee(*callee).locals);
                 let (kind, cont) = match slot {
                     None => (crate::msg::CollKind::Cast, Continuation::Discard),
                     Some(s) => (
@@ -162,7 +162,7 @@ fn step_loop(
                 op,
             } => {
                 let members = exec::read_group(rt, fr, node, *group)?;
-                let a = exec::read_args(fr, args);
+                let a = exec::read_args(fr, args, rt.callee(*callee).locals);
                 let cont = par_coll_cont(fr, node, id, gen, *slot);
                 rt.issue_collective(
                     node,
@@ -213,8 +213,8 @@ fn step_loop(
                 hint: _,
             } => {
                 let tv = exec::read(fr, target);
-                let a = exec::read_args(fr, args);
-                par_forward(rt, node, id, fr, tv, *callee, a)?;
+                let a = exec::read_args(fr, args, rt.callee(*callee).locals);
+                par_forward(rt, &prog, node, id, fr, tv, *callee, a)?;
                 rt.finish_ctx(node, id);
                 return Ok(StepEnd::Finished);
             }
@@ -293,6 +293,7 @@ fn drain_fills(rt: &mut Runtime, fr: &mut ActFrame) -> Result<(), Trap> {
 #[allow(clippy::too_many_arguments)]
 fn par_invoke(
     rt: &mut Runtime,
+    prog: &Program,
     node: usize,
     id: u32,
     gen: u32,
@@ -347,14 +348,15 @@ fn par_invoke(
         // (§4.2): even the parallel-only baseline inlines tiny provably
         // non-blocking methods on local unlocked objects instead of
         // allocating a context.
+        let entry = rt.callee(callee);
         let inline_ok = rt.enable_inlining
-            && rt.program.method(callee).inlinable
-            && rt.schemas.of(callee) == hem_analysis::Schema::NonBlocking
+            && entry.inlinable
+            && entry.schema == hem_analysis::Schema::NonBlocking
             && !rt.obj_locked_class(node, tobj.index);
         if inline_ok {
             rt.charge(node, rt.cost.inline_guard);
             rt.ctr(node).inlined += 1;
-            let out = seq::run_seq(rt, node, tobj, callee, args, seq::Conv::Nb)?;
+            let out = seq::run_seq(rt, prog, node, tobj, callee, args, seq::Conv::Nb)?;
             if let (SeqOutcome::Value(v), Some(s)) = (out, slot) {
                 Runtime::apply_fill(&mut fr.slots, s.0, v)
                     .map_err(|e| Trap::at(fr.method, pc, e))?;
@@ -392,7 +394,7 @@ fn par_invoke(
             cont: Continuation::Discard,
         },
     };
-    let out = seq::call_seq_schema(rt, node, tobj, callee, args, cp_info)?;
+    let out = seq::call_seq_schema(rt, prog, node, tobj, callee, args, cp_info)?;
     seq::settle_lock(rt, node, tobj.index, locked, &out);
     match out {
         SeqOutcome::Value(v) => {
@@ -426,8 +428,10 @@ fn par_invoke(
 
 /// Handle a `Forward` issued from a heap context: the context's own
 /// continuation is passed along (it already exists — no laziness needed).
+#[allow(clippy::too_many_arguments)]
 fn par_forward(
     rt: &mut Runtime,
+    prog: &Program,
     node: usize,
     id: u32,
     fr: &mut ActFrame,
@@ -497,6 +501,7 @@ fn par_forward(
     rt.ctr(node).stack_forwards += 1;
     let out = seq::call_seq_schema(
         rt,
+        prog,
         node,
         tobj,
         callee,

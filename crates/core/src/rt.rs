@@ -294,6 +294,9 @@ pub struct Runtime {
     pub(crate) program: Arc<Program>,
     pub(crate) layouts: Vec<ClassLayout>,
     pub(crate) schemas: SchemaMap,
+    /// Per-method call facts (schema, inlinable, frame shape),
+    /// indexed by `MethodId`; see [`crate::seq::CallEntry`].
+    pub(crate) call_table: Vec<crate::seq::CallEntry>,
     /// The cost model in force.
     pub cost: CostModel,
     /// The execution mode in force.
@@ -444,10 +447,22 @@ impl Runtime {
         let analysis = Analysis::analyze(&program);
         let schemas = analysis.schemas(interfaces);
         let layouts = program.classes.iter().map(ClassLayout::of).collect();
+        let call_table = program
+            .methods
+            .iter()
+            .zip(&schemas.seq)
+            .map(|(m, &schema)| crate::seq::CallEntry {
+                schema,
+                inlinable: m.inlinable,
+                locals: m.locals,
+                slots: m.slots,
+            })
+            .collect();
         Ok(Runtime {
             program: Arc::new(program),
             layouts,
             schemas,
+            call_table,
             cost,
             mode,
             nodes: (0..n_nodes).map(|i| Node::new(NodeId(i))).collect(),
@@ -605,6 +620,12 @@ impl Runtime {
     /// The selected sequential schemas.
     pub fn schemas(&self) -> &SchemaMap {
         &self.schemas
+    }
+
+    /// Call facts of method `m` (which the validated program defines).
+    #[inline]
+    pub(crate) fn callee(&self, m: MethodId) -> crate::seq::CallEntry {
+        self.call_table[m.idx()]
     }
 
     /// Number of nodes.
@@ -1747,8 +1768,8 @@ impl Runtime {
                 ret_slot,
             } => {
                 debug_assert_eq!(obj.node.idx(), node, "shell off-node");
-                let m = self.program.method(method);
-                let mut frame = ActFrame::new(method, obj, m.locals, m.slots, &[]);
+                let m = self.callee(method);
+                let mut frame = ActFrame::new(method, obj, Vec::new(), m.locals, m.slots);
                 // Mutant: mark slot 0 instead of the caller's declared
                 // return slot; adoption discards shell slots, so only the
                 // structural offset check sees it.
@@ -2079,12 +2100,20 @@ impl Runtime {
 
     /// Root invocation: run `method` on `obj` with `args` to quiescence and
     /// return the reply (if the program replied).
+    ///
+    /// A call the program could not have made traps before anything runs:
+    /// a target object that does not exist, an unknown method, a method of
+    /// another class than the target's, or an argument count other than
+    /// the method's arity.
     pub fn call(
         &mut self,
         obj: ObjRef,
         method: MethodId,
         args: &[Value],
     ) -> Result<Option<Value>, Trap> {
+        let entry = self.check_root_call(obj, method, args)?;
+        let mut a = Vec::with_capacity(entry.locals as usize);
+        a.extend_from_slice(args);
         self.result = None;
         self.san_root_reset();
         self.poll_floor = Cycles::MAX;
@@ -2095,12 +2124,53 @@ impl Runtime {
             obj.node.idx(),
             obj.index,
             method,
-            args.to_vec(),
+            a,
             Continuation::Root,
             false,
         )?;
         self.run_to_quiescence()?;
         Ok(self.result.take())
+    }
+
+    /// The entry checks of [`Self::call`]; returns the callee's call facts.
+    fn check_root_call(
+        &self,
+        obj: ObjRef,
+        method: MethodId,
+        args: &[Value],
+    ) -> Result<crate::seq::CallEntry, Trap> {
+        let Some(&entry) = self.call_table.get(method.idx()) else {
+            return Err(Trap::new(format!(
+                "call of unknown method #{} (the program has {})",
+                method.0,
+                self.call_table.len()
+            )));
+        };
+        let m = self.program.method(method);
+        let target = self
+            .nodes
+            .get(obj.node.idx())
+            .and_then(|n| n.objects.get(obj.index as usize));
+        let problem = match target {
+            None => format!("object {} of node {} does not exist", obj.index, obj.node.0),
+            Some(t) if t.class != m.class => format!(
+                "target is an object of class {}",
+                self.program.class(t.class).name
+            ),
+            Some(_) if args.len() != m.params as usize => {
+                format!("arity {}, given {} argument(s)", m.params, args.len())
+            }
+            Some(_) => return Ok(entry),
+        };
+        Err(Trap {
+            method: Some(method),
+            pc: None,
+            what: format!(
+                "call of {}.{}: {problem}",
+                self.program.class(m.class).name,
+                m.name
+            ),
+        })
     }
 
     /// Drive the machine until no work remains anywhere. Deterministic:

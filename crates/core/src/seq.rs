@@ -28,8 +28,27 @@ use crate::msg::Msg;
 use crate::object::{DeferredInvoke, LockHolder};
 use crate::rt::Runtime;
 use hem_analysis::Schema;
-use hem_ir::{ContRef, Instr, MethodId, ObjRef, Slot, Value};
+use hem_ir::{ContRef, Instr, MethodId, ObjRef, Program, Slot, Value};
 use hem_machine::NodeId;
+
+/// What a call needs to know about its callee, fixed by the program and
+/// the schema analysis: one entry per method, built once by
+/// `Runtime::new` and indexed by [`MethodId`]. Cost-model values and the
+/// inlining switch stay out of it — `Runtime::cost` and
+/// `Runtime::enable_inlining` are public and may change after
+/// construction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CallEntry {
+    /// The selected sequential schema.
+    pub schema: Schema,
+    /// The method is marked for speculative inlining.
+    pub inlinable: bool,
+    /// Registers: the capacity an argument vector is reserved with, so
+    /// it becomes the callee's register file without reallocating.
+    pub locals: u16,
+    /// Future slots.
+    pub slots: u16,
+}
 
 /// How a sequential execution ended.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,9 +102,14 @@ struct SeqState {
     conv: Conv,
 }
 
-/// Run `method` on local object `obj` sequentially under `conv`.
+/// Run `method` on local object `obj` sequentially under `conv`. `args`
+/// becomes the frame's register file. `prog` is the runtime's program,
+/// cloned once at the wrapper or heap-caller entry and borrowed by every
+/// stack call below it, so a stack call touches no reference count.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_seq(
     rt: &mut Runtime,
+    prog: &Program,
     node: usize,
     obj: ObjRef,
     method: MethodId,
@@ -93,23 +117,23 @@ pub(crate) fn run_seq(
     conv: Conv,
 ) -> Result<SeqOutcome, Trap> {
     rt.seq_depth += 1;
-    let r = run_inner(rt, node, obj, method, args, conv);
+    let r = run_inner(rt, prog, node, obj, method, args, conv);
     rt.seq_depth -= 1;
     r
 }
 
 fn run_inner(
     rt: &mut Runtime,
+    prog: &Program,
     node: usize,
     obj: ObjRef,
     method: MethodId,
     args: Vec<Value>,
     conv: Conv,
 ) -> Result<SeqOutcome, Trap> {
-    let prog = rt.program.clone();
     let m = prog.method(method);
     let mut st = SeqState {
-        fr: ActFrame::new(method, obj, m.locals, m.slots, &args),
+        fr: ActFrame::new(method, obj, args, m.locals, m.slots),
         consumed: None,
         conv,
     };
@@ -128,8 +152,8 @@ fn run_inner(
                 hint: _,
             } => {
                 let tv = exec::read(&st.fr, target);
-                let a = exec::read_args(&st.fr, args);
-                if let Some(out) = seq_invoke(rt, node, &mut st, *slot, tv, *callee, a)? {
+                let a = exec::read_args(&st.fr, args, rt.callee(*callee).locals);
+                if let Some(out) = seq_invoke(rt, prog, node, &mut st, *slot, tv, *callee, a)? {
                     return Ok(out);
                 }
                 st.fr.pc += 1;
@@ -155,7 +179,7 @@ fn run_inner(
                 args,
             } => {
                 let members = exec::read_group(rt, &st.fr, node, *group)?;
-                let a = exec::read_args(&st.fr, args);
+                let a = exec::read_args(&st.fr, args, rt.callee(*callee).locals);
                 match slot {
                     None => {
                         // Fire-and-forget: nothing flows back, the stack
@@ -194,7 +218,7 @@ fn run_inner(
                 op,
             } => {
                 let members = exec::read_group(rt, &st.fr, node, *group)?;
-                let a = exec::read_args(&st.fr, args);
+                let a = exec::read_args(&st.fr, args, rt.callee(*callee).locals);
                 if let Some(out) = seq_collective(
                     rt,
                     node,
@@ -256,8 +280,8 @@ fn run_inner(
                     ));
                 }
                 let tv = exec::read(&st.fr, target);
-                let a = exec::read_args(&st.fr, args);
-                return seq_forward(rt, node, tv, *callee, a, info, method, st.fr.pc);
+                let a = exec::read_args(&st.fr, args, rt.callee(*callee).locals);
+                return seq_forward(rt, prog, node, tv, *callee, a, info, method, st.fr.pc);
             }
             Instr::StoreCont { field, idx } => {
                 let Conv::Cp(info) = st.conv else {
@@ -388,8 +412,10 @@ fn finish_block_outcome(rt: &mut Runtime, node: usize, st: &mut SeqState, ctx: u
 
 /// Handle one `Invoke` from a stack frame. Returns `Some(outcome)` when
 /// the frame fell back (the interpreter must unwind), `None` to continue.
+#[allow(clippy::too_many_arguments)]
 fn seq_invoke(
     rt: &mut Runtime,
+    prog: &Program,
     node: usize,
     st: &mut SeqState,
     slot: Option<Slot>,
@@ -516,7 +542,7 @@ fn seq_invoke(
             cont: Continuation::Discard,
         },
     };
-    let out = call_seq_schema(rt, node, tobj, callee, args, cp_info)?;
+    let out = call_seq_schema(rt, prog, node, tobj, callee, args, cp_info)?;
     settle_lock(rt, node, tobj.index, locked, &out);
     match out {
         SeqOutcome::Value(v) => {
@@ -611,6 +637,7 @@ fn seq_collective(
 #[allow(clippy::too_many_arguments)]
 fn seq_forward(
     rt: &mut Runtime,
+    prog: &Program,
     node: usize,
     target: Value,
     callee: MethodId,
@@ -664,7 +691,7 @@ fn seq_forward(
     // Local forwarding: pass caller_info along unchanged — the chain
     // executes on the stack and the final value returns through return_val.
     rt.ctr(node).stack_forwards += 1;
-    let out = call_seq_schema(rt, node, tobj, callee, args, info)?;
+    let out = call_seq_schema(rt, prog, node, tobj, callee, args, info)?;
     settle_lock(rt, node, tobj.index, locked, &out);
     match out {
         SeqOutcome::Value(v) => Ok(SeqOutcome::Value(v)),
@@ -713,13 +740,15 @@ pub(crate) fn settle_lock(rt: &mut Runtime, node: usize, obj: u32, locked: bool,
 /// callers, wrappers and lock grants.
 pub(crate) fn call_seq_schema(
     rt: &mut Runtime,
+    prog: &Program,
     node: usize,
     target: ObjRef,
     callee: MethodId,
     args: Vec<Value>,
     cp_info: CallerInfo,
 ) -> Result<SeqOutcome, Trap> {
-    let schema = rt.schemas.of(callee);
+    let entry = rt.callee(callee);
+    let schema = entry.schema;
 
     // Host-stack depth guard: deep MB/CP chains divert through the heap
     // (the moral equivalent of a stack-limit check); a deep NB chain is a
@@ -732,9 +761,7 @@ pub(crate) fn call_seq_schema(
                 rt.max_seq_depth
             )));
         }
-        let m = rt.program.method(callee);
-        let (l, s) = (m.locals, m.slots);
-        let frame = ActFrame::new(callee, target, l, s, &args);
+        let frame = ActFrame::new(callee, target, args, entry.locals, entry.slots);
         rt.charge(node, rt.cost.par_invoke_fixed);
         let id = rt.new_ctx(node, frame, Continuation::Unset, WaitState::Ready, false);
         rt.ctr(node).par_invokes += 1;
@@ -747,8 +774,7 @@ pub(crate) fn call_seq_schema(
     }
 
     rt.san_seq_entry(node, target, callee);
-    let inlinable = rt.program.method(callee).inlinable && rt.enable_inlining;
-    let inlined = inlinable && schema == Schema::NonBlocking;
+    let inlined = entry.inlinable && rt.enable_inlining && schema == Schema::NonBlocking;
     if inlined {
         rt.charge(node, rt.cost.inline_guard);
         rt.ctr(node).inlined += 1;
@@ -773,7 +799,7 @@ pub(crate) fn call_seq_schema(
         Schema::MayBlock => Conv::Mb,
         Schema::ContPassing => Conv::Cp(cp_info),
     };
-    let out = run_seq(rt, node, target, callee, args, conv)?;
+    let out = run_seq(rt, prog, node, target, callee, args, conv)?;
 
     if !inlined && !matches!(out, SeqOutcome::Blocked { .. }) {
         // Completed on the stack: count it under its schema.

@@ -540,6 +540,7 @@ impl Runtime {
             program: Arc::clone(&self.program),
             layouts: self.layouts.clone(),
             schemas: self.schemas.clone(),
+            call_table: self.call_table.clone(),
             cost: self.cost.clone(),
             mode: self.mode,
             nodes: (0..owner.len() as u32)

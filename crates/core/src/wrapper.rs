@@ -31,6 +31,7 @@ use crate::ExecMode;
 use hem_analysis::Schema;
 use hem_ir::{MethodId, ObjRef, Value};
 use hem_machine::NodeId;
+use std::sync::Arc;
 
 /// Run an invocation that arrived with a real continuation (message
 /// arrival, lock grant, or root call).
@@ -93,13 +94,23 @@ pub(crate) fn run_invocation(
                 );
                 return Ok(());
             }
-            if rt.schemas.of(method) == Schema::ContPassing {
+            if rt.callee(method).schema == Schema::ContPassing {
                 // Fig. 8: CP callees get a proxy context carrying the
                 // message's continuation, marked as forwarded.
                 rt.ctr(node).proxy_conts += 1;
             }
-            let out =
-                seq::call_seq_schema(rt, node, target, method, args, CallerInfo::Proxy { cont })?;
+            // One reference-count bump per wrapper run; the stack calls
+            // below it borrow the program.
+            let prog = Arc::clone(&rt.program);
+            let out = seq::call_seq_schema(
+                rt,
+                &prog,
+                node,
+                target,
+                method,
+                args,
+                CallerInfo::Proxy { cont },
+            )?;
             seq::settle_lock(rt, node, obj, locked, &out);
             match out {
                 SeqOutcome::Value(v) => rt.deliver_cont(node, cont, v),
@@ -160,9 +171,8 @@ pub(crate) fn par_invoke_ctx(
             return Ok(None);
         }
     }
-    let m = rt.program.method(method);
-    let (nlocals, nslots) = (m.locals, m.slots);
-    let frame = ActFrame::new(method, target, nlocals, nslots, &args);
+    let m = rt.callee(method);
+    let frame = ActFrame::new(method, target, args, m.locals, m.slots);
     // Fixed bookkeeping + the conservatively eager continuation.
     rt.charge(node, rt.cost.par_invoke_fixed + rt.cost.cont_create);
     let id = rt.new_ctx(node, frame, cont, WaitState::Ready, false);

@@ -532,6 +532,87 @@ fn inlinable_leaf_uses_guard_cost() {
     assert_eq!(t.stack_nb, 1, "only `go` itself counts as an NB stack call");
 }
 
+/// `walk(n)`: fib-shaped NB recursion whose leaves call an inlinable
+/// accessor.
+fn walk_program() -> (Program, MethodId) {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.class("C", false);
+    let get = pb.method(c, "get", 0, |mb| {
+        mb.inlinable();
+        mb.reply(1i64);
+    });
+    let walk = pb.declare(c, "walk", 1);
+    pb.define(walk, |mb| {
+        let n = mb.arg(0);
+        let me = mb.self_ref();
+        let small = mb.binl(BinOp::Lt, n, 2);
+        mb.if_else(
+            small,
+            |mb| {
+                let s = mb.invoke_local(me, get, &[]);
+                let v = mb.touch_get(s);
+                mb.reply(v);
+            },
+            |mb| {
+                let a = mb.binl(BinOp::Sub, n, 1);
+                let b = mb.binl(BinOp::Sub, n, 2);
+                let s1 = mb.invoke_local(me, walk, &[a.into()]);
+                let s2 = mb.invoke_local(me, walk, &[b.into()]);
+                mb.touch(&[s1, s2]);
+                let x = mb.get_slot(s1);
+                let y = mb.get_slot(s2);
+                let r = mb.binl(BinOp::Add, x, y);
+                mb.reply(r);
+            },
+        );
+    });
+    (pb.finish(), walk)
+}
+
+/// `Runtime::cost` and `Runtime::enable_inlining` are public fields: a
+/// change made after `Runtime::new` must still price the next run. The
+/// pinned `(makespan, inlined, stack NB calls)` values are the ones the
+/// runtime produced before the call path cached anything per method.
+#[test]
+fn cost_and_inlining_changes_after_construction_apply() {
+    let (p, walk) = walk_program();
+    let run = |mode: ExecMode, tweak: &dyn Fn(&mut Runtime)| {
+        let mut rt = rt_with(p.clone(), 1, mode, InterfaceSet::Full);
+        tweak(&mut rt);
+        let o = rt.alloc_object_by_name("C", NodeId(0));
+        let r = rt.call(o, walk, &[Value::Int(10)]).unwrap();
+        assert_eq!(r, Some(Value::Int(89)));
+        let t = rt.stats().totals();
+        (rt.makespan(), t.inlined, t.stack_nb)
+    };
+    let mut got = Vec::new();
+    for mode in [ExecMode::Hybrid, ExecMode::ParallelOnly] {
+        got.push(run(mode, &|_| {}));
+        got.push(run(mode, &|rt| rt.cost.plain_call += 7));
+        got.push(run(mode, &|rt| rt.enable_inlining = false));
+    }
+    // Hybrid: 177 walk calls run on the stack; 89 leaf calls of `get`
+    // are inlined until inlining is switched off, when they become
+    // plain NB calls too.
+    let (base, slower, no_inline) = (got[0], got[1], got[2]);
+    assert_eq!(slower.0 - base.0, 7 * base.2, "plain_call priced per call");
+    assert_eq!((no_inline.1, no_inline.2), (0, base.1 + base.2));
+    // Parallel-only makes no stack calls, so `plain_call` prices nothing
+    // there; switching inlining off turns its 89 inlined leaves into heap
+    // contexts.
+    assert_eq!(
+        got,
+        vec![
+            (5661, 89, 177),
+            (6900, 89, 177),
+            (6284, 0, 266),
+            (31924, 89, 0),
+            (31924, 89, 0),
+            (45096, 0, 0),
+        ]
+    );
+}
+
 // ---------- misc protocol robustness ----------
 
 #[test]

@@ -13,10 +13,14 @@
 //! its own scheduler step — that rule is what makes nested handling a
 //! pure function of simulated state, independent of host execution
 //! order and of the sharded executor's node partition.
+//!
+//! A root call the program could not have made (unknown method, missing
+//! or foreign-class target, wrong argument count) traps at
+//! `Runtime::call`'s entry, before anything runs.
 
 use hem_analysis::InterfaceSet;
 use hem_core::{ExecMode, Runtime};
-use hem_ir::{BinOp, LocalityHint, ProgramBuilder, Value};
+use hem_ir::{BinOp, LocalityHint, MethodId, ObjRef, ProgramBuilder, Value};
 use hem_machine::cost::CostModel;
 use hem_machine::fault::{FaultPlan, LinkWindow, NodeWindow};
 use hem_machine::NodeId;
@@ -341,4 +345,92 @@ fn stalled_node_delivers_deferred_trap() {
         0,
         "an in-flight (stalled) frame is never redundantly retransmitted"
     );
+}
+
+/// A two-class program on two nodes for the root-call entry checks:
+/// `Adder.add(a, b)` and a `Other` object to aim it at by mistake.
+fn entry_check_runtime() -> (Runtime, ObjRef, ObjRef, MethodId) {
+    let mut pb = ProgramBuilder::new();
+    let adder = pb.class("Adder", false);
+    let add = pb.method(adder, "add", 2, |mb| {
+        let s = mb.binl(BinOp::Add, mb.arg(0), mb.arg(1));
+        mb.reply(s);
+    });
+    let other = pb.class("Other", false);
+    pb.method(other, "noop", 0, |mb| mb.reply_nil());
+    let mut rt = Runtime::new(
+        pb.finish(),
+        2,
+        CostModel::cm5(),
+        ExecMode::Hybrid,
+        InterfaceSet::Full,
+    )
+    .unwrap();
+    let a = rt.alloc_object_by_name("Adder", NodeId(1));
+    let o = rt.alloc_object_by_name("Other", NodeId(1));
+    (rt, a, o, add)
+}
+
+/// Too many or too few arguments trap with the method's name, its arity
+/// and the given count — too many used to panic in frame set-up, too
+/// few ran with `Nil` registers — and the runtime stays usable.
+#[test]
+fn root_call_with_wrong_arity_traps() {
+    let (mut rt, a, _, add) = entry_check_runtime();
+    for given in [vec![], vec![Value::Int(1)], vec![Value::Int(1); 3]] {
+        let err = rt
+            .call(a, add, &given)
+            .expect_err("arity mismatch must trap");
+        assert_eq!(err.method, Some(add), "{err}");
+        assert!(
+            err.what.contains("Adder.add")
+                && err.what.contains("arity 2")
+                && err.what.contains(&format!("given {}", given.len())),
+            "{err}"
+        );
+    }
+    assert_eq!(rt.makespan(), 0, "nothing ran");
+    let r = rt.call(a, add, &[Value::Int(2), Value::Int(3)]).unwrap();
+    assert_eq!(r, Some(Value::Int(5)));
+}
+
+/// A target object or node out of range traps instead of panicking.
+#[test]
+fn root_call_on_missing_target_traps() {
+    let (mut rt, a, _, add) = entry_check_runtime();
+    let args = [Value::Int(1), Value::Int(2)];
+    for bad in [
+        ObjRef {
+            node: a.node,
+            index: 99,
+        },
+        ObjRef {
+            node: NodeId(7),
+            index: 0,
+        },
+    ] {
+        let err = rt.call(bad, add, &args).expect_err("missing target");
+        assert!(
+            err.what.contains("Adder.add") && err.what.contains("does not exist"),
+            "{err}"
+        );
+    }
+    assert_eq!(rt.call(a, add, &args).unwrap(), Some(Value::Int(3)));
+}
+
+/// An unknown method id, or a method of another class than the
+/// target's, traps.
+#[test]
+fn root_call_of_unknown_or_foreign_method_traps() {
+    let (mut rt, a, o, add) = entry_check_runtime();
+    let err = rt.call(a, MethodId(42), &[]).expect_err("unknown method");
+    assert!(err.what.contains("unknown method #42"), "{err}");
+    let err = rt
+        .call(o, add, &[Value::Int(1), Value::Int(2)])
+        .expect_err("foreign-class target");
+    assert!(
+        err.what.contains("Adder.add") && err.what.contains("class Other"),
+        "{err}"
+    );
+    assert_eq!(rt.makespan(), 0, "nothing ran");
 }

@@ -85,6 +85,7 @@ impl std::fmt::Display for ValidationError {
 
 impl Program {
     /// Look up a method by id.
+    #[inline]
     pub fn method(&self, id: MethodId) -> &Method {
         &self.methods[id.idx()]
     }

@@ -82,6 +82,7 @@ impl Value {
     }
 
     /// Extract an integer.
+    #[inline]
     pub fn as_int(self) -> Result<i64, ValueError> {
         match self {
             Value::Int(i) => Ok(i),
@@ -93,6 +94,7 @@ impl Value {
     }
 
     /// Extract a float, coercing integers.
+    #[inline]
     pub fn as_float(self) -> Result<f64, ValueError> {
         match self {
             Value::Float(f) => Ok(f),
@@ -105,6 +107,7 @@ impl Value {
     }
 
     /// Extract a boolean.
+    #[inline]
     pub fn as_bool(self) -> Result<bool, ValueError> {
         match self {
             Value::Bool(b) => Ok(b),
@@ -116,6 +119,7 @@ impl Value {
     }
 
     /// Extract an object reference.
+    #[inline]
     pub fn as_obj(self) -> Result<ObjRef, ValueError> {
         match self {
             Value::Obj(o) => Ok(o),
@@ -127,6 +131,7 @@ impl Value {
     }
 
     /// Extract a continuation reference.
+    #[inline]
     pub fn as_cont(self) -> Result<ContRef, ValueError> {
         match self {
             Value::Cont(c) => Ok(c),
@@ -164,6 +169,7 @@ impl From<ObjRef> for Value {
 /// `Int op Int → Int`; if either side is a float the operation is performed
 /// in floats. Comparisons yield `Bool`. `Eq`/`Ne` compare any two values
 /// structurally.
+#[inline]
 pub fn bin_op(op: crate::instr::BinOp, a: Value, b: Value) -> Result<Value, ValueError> {
     use crate::instr::BinOp::*;
     match op {
@@ -229,6 +235,7 @@ pub fn bin_op(op: crate::instr::BinOp, a: Value, b: Value) -> Result<Value, Valu
 }
 
 /// Evaluate a unary operation.
+#[inline]
 pub fn un_op(op: crate::instr::UnOp, a: Value) -> Result<Value, ValueError> {
     use crate::instr::UnOp::*;
     Ok(match op {
